@@ -3,9 +3,9 @@
 The system: x'(t) is +1 or -1 and toggles at every instant t where the
 delayed position x(t - tau) lies in the critical set {0, 1}; simulation
 starts on the rising branch from x(0) = 0 after a history that stays clear
-of {0, 1} before time zero.  All core arithmetic is exact rational, so the
-critical delays (where long-run behavior changes discontinuously) classify
-exactly.  The package provides the closed-form regime classifier, the exact
+of {0, 1} before time zero.  All core arithmetic is exact (the engine runs
+on integers scaled by the delay's denominator), so the critical delays
+(where long-run behavior changes discontinuously) classify exactly.  The package provides the closed-form regime classifier, the exact
 event-driven engine with period and divergence detection, cross-validation
 (including a fixed-step floating-point oracle), and an SVG trajectory
 renderer.
@@ -32,21 +32,13 @@ from .engine import (
     InvalidInitialCondition,
     Outcome,
     Periodic,
-    SimState,
     SimTrace,
-    Snapshot,
     TraceEvent,
     TurningPoint,
     Undetermined,
     behavior_label,
-    detect_divergence,
-    detect_period,
-    initial_hits,
-    new_state,
-    next_boundary_hit,
     run,
     simulate_switches,
-    step,
     trace_records,
 )
 from .exact import (

@@ -4,8 +4,10 @@ The position moves with slope +1 or -1.  Whenever the path reaches the
 critical set {0, 1} (a "hit", including tangential touches) the active slope
 is toggled exactly ``tau`` later (a "switch"; the point (beta_j, alpha_j) is
 the j-th turning point).  Between events the path is linear, so with a
-rational delay every event time and coordinate is an exact rational and the
-evolution is computed without rounding.
+rational delay tau = p/q every event time and coordinate lies in (1/q)*Z.
+The event loop therefore runs on plain integers scaled by q (boundaries 0
+and q, delay p), which is exact without any gcd work; the ``Fraction``
+values of the returned traces are built once, when the loop ends.
 
 The complete Markov state is (slope, position, pending switch offsets):
 exact recurrence of that state across two switch instants certifies
@@ -18,7 +20,7 @@ before time zero, so the only inherited event is the hit at t = 0.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import Rat
@@ -89,45 +91,10 @@ class TurningPoint:
 
 
 @dataclass(frozen=True)
-class Snapshot:
-    """Post-switch Markov state: slope, position, pending switch offsets.
-
-    Offsets are pending switch times minus the snapshot time, strictly
-    increasing, each in (0, tau].  Two equal snapshots have identical
-    futures.
-    """
-
-    slope: int
-    x: Rat
-    offsets: tuple[Rat, ...]
-
-
-@dataclass(frozen=True)
 class TraceEvent:
     t: Rat
     x: Rat
     kind: str  # "hit" | "switch"; coinciding instants produce one of each
-
-
-@dataclass
-class SimState:
-    tau: Rat
-    t: Rat
-    x: Rat
-    slope: int  # +1 exactly while the number of executed switches is even
-    pending: deque[Rat]  # strictly increasing switch times, all in (t, t + tau]
-    switch_count: int = 0
-    turning_points: list[TurningPoint] = field(default_factory=list)
-    snapshots: list[Snapshot] = field(default_factory=list)
-    events: list[TraceEvent] = field(default_factory=list)
-
-
-@dataclass(frozen=True)
-class StepReport:
-    t: Rat
-    x: Rat
-    hit: bool
-    switched: bool
 
 
 @dataclass(frozen=True)
@@ -162,125 +129,119 @@ class Undetermined:
 Outcome = Periodic | Divergent | Undetermined
 
 
-def initial_hits(ic: InitialCondition, tau: Rat) -> deque[Rat]:
-    """Pending switch times implied by the history: exactly [tau].
+def _simulate(
+    tau: Rat,
+    ic: InitialCondition | None,
+    max_switches: int,
+    max_time: Rat,
+    detect_period: bool,
+) -> Outcome:
+    """The event loop behind :func:`run` and :func:`simulate_switches`.
 
-    The history invariants forbid hits before t = 0 and force the one at
-    t = 0 (value 0), which schedules the first switch at tau.
+    Works in units of 1/q for tau = p/q: the boundaries are 0 and q, the
+    delay is p, and time T, position X and the pending switch times are
+    ints.  Each step advances to the earliest event: a boundary hit (the
+    ray meeting 0 or q, touches included) appends the switch time T + p;
+    a due switch pops the queue head and toggles the slope.  A hit and a
+    switch at one instant are both processed there, the hit first, so the
+    post-switch state already holds the freshly scheduled switch.  The
+    post-switch state (slope, X, pending offsets) is the complete Markov
+    state; with ``detect_period`` its first exact recurrence ends the run
+    as Periodic.  An empty queue with the ray pointing away from both
+    boundaries ends it as Divergent; the limits end it as Undetermined.
     """
-    ic.validate(tau)
-    return deque([Fraction(tau)])
-
-
-def new_state(tau: Rat, ic: InitialCondition | None = None) -> SimState:
     if tau <= 0:
         raise ValueError("tau must be positive")
     tau = Fraction(tau)
     if ic is None:
         ic = InitialCondition.canonical(tau)
-    state = SimState(tau=tau, t=LOW, x=LOW, slope=1, pending=initial_hits(ic, tau))
-    state.events.append(TraceEvent(LOW, LOW, "hit"))
-    return state
+    ic.validate(tau)  # the history forces exactly one inherited hit, at t = 0
+    p, q = tau.numerator, tau.denominator
+    max_time = Fraction(max_time)
+    # T * den >= num * q  <=>  T >= ceil(num * q / den), T being an int
+    t_cap = -(-max_time.numerator * q // max_time.denominator)
+    t = x = switches = 0
+    slope = 1  # +1 exactly while the number of executed switches is even
+    pending = deque([p])  # strictly increasing switch times in (t, t + p]
+    events = [(0, 0, "hit")]
+    first_seen: dict[tuple, int] = {}
+    result = None
+    while True:
+        if not pending and (x < 0 if slope < 0 else x > q):
+            result = (Divergent, slope)
+            break
+        if switches >= max_switches or t >= t_cap:
+            break
+        if slope > 0:
+            hit = t - x if x < 0 else (t + q - x if x < q else None)
+        else:
+            hit = t + x - q if x > q else (t + x if x > 0 else None)
+        if pending and (hit is None or pending[0] <= hit):
+            t_next = pending[0]
+            did_hit, did_switch = hit == t_next, True
+        elif hit is None:
+            raise RuntimeError("no future event in a non-divergent state")
+        else:
+            t_next, did_hit, did_switch = hit, True, False
+        x += slope * (t_next - t)
+        t = t_next
+        if did_hit:
+            assert x == 0 or x == q
+            scheduled = t + p
+            # hits are isolated instants, so the queue stays strictly increasing
+            assert not pending or pending[-1] < scheduled
+            pending.append(scheduled)
+            events.append((t, x, "hit"))
+        if did_switch:
+            assert did_hit or (x != 0 and x != q)
+            pending.popleft()
+            slope = -slope
+            switches += 1
+            events.append((t, x, "switch"))
+            if detect_period:
+                state = (slope, x, tuple(s - t for s in pending))
+                first = first_seen.setdefault(state, switches)
+                if first != switches:
+                    result = (Periodic, first)
+                    break
+    trace = _trace(tau, events)
+    if result is None:
+        return Undetermined(switches, trace)
+    kind, value = result
+    if kind is Divergent:
+        return Divergent(value, switches, trace)
+    i, points = value, trace.turning_points
+    return Periodic(
+        least_period=points[switches - 1].beta - points[i - 1].beta,
+        switchings_per_period=switches - i,
+        turning_points=points[i - 1 : switches - 1],
+        start_switch=i,
+        trace=trace,
+    )
 
 
-def next_boundary_hit(state: SimState) -> Rat | None:
-    """Earliest t > t_now at which the current ray meets {0, 1}.
+def _trace(tau: Fraction, events: list[tuple[int, int, str]]) -> SimTrace:
+    """Convert scaled (T, X, kind) events to Fractions, once, at the end.
 
-    None when the ray points away for good (slope -1 at or below 0, slope +1
-    at or above 1).  Arrivals that merely touch a boundary count as hits: the
-    hit condition is evaluated on the continuous path, not on crossings.
+    Hits sit on 0 or 1, and every switch at T was scheduled by the hit at
+    T - p, so each distinct instant is converted only once.
     """
-    if state.slope > 0:
-        if state.x < LOW:
-            return state.t + (LOW - state.x)
-        if state.x < HIGH:
-            return state.t + (HIGH - state.x)
-        return None
-    if state.x > HIGH:
-        return state.t + (state.x - HIGH)
-    if state.x > LOW:
-        return state.t + (state.x - LOW)
-    return None
-
-
-def step(state: SimState) -> StepReport:
-    """Advance to the earliest event (boundary hit, due switch, or both).
-
-    A hit at time b appends the switch time b + tau to the queue.  A switch
-    pops the queue head, toggles the slope, and records the turning point and
-    the post-toggle snapshot.  When a hit and a switch fall on the same
-    instant both are processed there: the hit is evaluated on the continuous
-    position (unambiguous) and the toggle governs the slope strictly after
-    the instant, so the snapshot already contains the freshly scheduled
-    switch.
-    """
-    hit_t = next_boundary_hit(state)
-    switch_t = state.pending[0] if state.pending else None
-    if hit_t is None and switch_t is None:
-        raise RuntimeError("no future event: check detect_divergence before stepping")
-    if switch_t is None or (hit_t is not None and hit_t < switch_t):
-        t_next = hit_t
-    else:
-        t_next = switch_t
-    state.x += state.slope * (t_next - state.t)
-    state.t = t_next
-    did_hit = hit_t == t_next
-    did_switch = switch_t == t_next
-    if did_hit:
-        assert state.x == LOW or state.x == HIGH
-        scheduled = t_next + state.tau
-        # hits are isolated instants, so the queue stays strictly increasing
-        assert not state.pending or state.pending[-1] < scheduled
-        state.pending.append(scheduled)
-        state.events.append(TraceEvent(t_next, state.x, "hit"))
-    if did_switch:
-        assert did_hit or (state.x != LOW and state.x != HIGH)
-        state.pending.popleft()
-        state.slope = -state.slope
-        state.switch_count += 1
-        state.turning_points.append(
-            TurningPoint(beta=t_next, alpha=state.x, hit_time=t_next - state.tau)
-        )
-        offsets = tuple(s - t_next for s in state.pending)
-        state.snapshots.append(Snapshot(state.slope, state.x, offsets))
-        state.events.append(TraceEvent(t_next, state.x, "switch"))
-    return StepReport(t_next, state.x, did_hit, did_switch)
-
-
-def detect_divergence(state: SimState) -> int | None:
-    """-1 or +1 once no event can ever occur again and the path moves away.
-
-    With an empty queue nothing will toggle the slope, so slope -1 below 0
-    runs to -inf and slope +1 above 1 runs to +inf; every other empty-queue
-    state still faces a boundary hit.
-    """
-    if state.pending:
-        return None
-    if state.slope < 0 and state.x < LOW:
-        return -1
-    if state.slope > 0 and state.x > HIGH:
-        return 1
-    return None
-
-
-def detect_period(snapshots: list[Snapshot]) -> tuple[int, int] | None:
-    """Earliest (i, j), i < j, with snapshot_i == snapshot_j (1-based).
-
-    Snapshots are complete states, so a recurrence proves the evolution
-    periodic with beta_j - beta_i a period and j - i switchings in it;
-    earliest-j-then-earliest-i makes it the least switch-anchored period.
-    """
-    seen: dict[Snapshot, int] = {}
-    for j, snap in enumerate(snapshots, start=1):
-        i = seen.get(snap)
-        if i is not None:
-            return (i, j)
-        seen[snap] = j
-    return None
-
-
-def _trace(state: SimState) -> SimTrace:
-    return SimTrace(state.tau, tuple(state.events), tuple(state.turning_points))
+    p, q = tau.numerator, tau.denominator
+    hit_at: dict[int, Fraction] = {}
+    out: list[TraceEvent] = []
+    points: list[TurningPoint] = []
+    for t, x, kind in events:
+        if kind == "hit":
+            when = hit_at[t] = Fraction(t, q)
+            out.append(TraceEvent(when, HIGH if x else LOW, kind))
+            continue
+        when = hit_at.get(t)
+        if when is None:
+            when = Fraction(t, q)
+        where = Fraction(x, q)
+        out.append(TraceEvent(when, where, kind))
+        points.append(TurningPoint(when, where, hit_at[t - p]))
+    return SimTrace(tau, tuple(out), tuple(points))
 
 
 def run(
@@ -291,36 +252,13 @@ def run(
 ) -> Outcome:
     """Simulate until the outcome is certain or the limits are reached.
 
-    After every switch the snapshot is checked for exact recurrence
-    (Periodic) and the state for divergence; hitting max_switches or
-    max_time first yields Undetermined.  All arithmetic is exact.
+    After every switch the state is checked for exact recurrence (Periodic)
+    and for divergence; hitting max_switches or max_time first yields
+    Undetermined.  All arithmetic is exact.
     """
     if max_switches <= 0 or max_time <= 0:
         raise ValueError("limits must be positive")
-    state = new_state(tau, ic)
-    first_seen: dict[Snapshot, int] = {}
-    while True:
-        direction = detect_divergence(state)
-        if direction is not None:
-            return Divergent(direction, state.switch_count, _trace(state))
-        if state.switch_count >= max_switches or state.t >= max_time:
-            return Undetermined(state.switch_count, _trace(state))
-        report = step(state)
-        if report.switched:
-            j = state.switch_count
-            snap = state.snapshots[-1]
-            i = first_seen.get(snap)
-            if i is not None:
-                points = state.turning_points
-                period = points[j - 1].beta - points[i - 1].beta
-                return Periodic(
-                    least_period=period,
-                    switchings_per_period=j - i,
-                    turning_points=tuple(points[i - 1 : j - 1]),
-                    start_switch=i,
-                    trace=_trace(state),
-                )
-            first_seen[snap] = j
+    return _simulate(tau, ic, max_switches, max_time, detect_period=True)
 
 
 def simulate_switches(
@@ -335,12 +273,7 @@ def simulate_switches(
     Stops early only on divergence or the time cap; callers inspect the
     trace length.
     """
-    state = new_state(tau, ic)
-    while state.switch_count < n_switches:
-        if detect_divergence(state) is not None or state.t >= max_time:
-            break
-        step(state)
-    return _trace(state)
+    return _simulate(tau, ic, n_switches, max_time, detect_period=False).trace
 
 
 def behavior_label(outcome: Outcome) -> str:

@@ -1,5 +1,4 @@
 import random
-from collections import deque
 from fractions import Fraction as F
 
 import pytest
@@ -10,18 +9,11 @@ from delayswitch.engine import (
     InitialCondition,
     InvalidInitialCondition,
     Periodic,
-    SimState,
-    Snapshot,
+    TraceEvent,
     Undetermined,
     behavior_label,
-    detect_divergence,
-    detect_period,
-    initial_hits,
-    new_state,
-    next_boundary_hit,
     run,
     simulate_switches,
-    step,
     trace_records,
 )
 
@@ -37,15 +29,20 @@ def random_tau_in_window(rng: random.Random) -> F:
 
 
 def test_initial_hits_canonical():
+    # the only inherited event is the hit at t = 0; it schedules switch 1 at tau
     for tau in (F(7, 5), F(4, 3)):
-        ic = InitialCondition.canonical(tau)
-        assert initial_hits(ic, tau) == deque([tau])
+        trace = run(tau, ic=InitialCondition.canonical(tau)).trace
+        assert trace.events[0] == TraceEvent(F(0), F(0), "hit")
+        first = trace.turning_points[0]
+        assert (first.beta, first.hit_time) == (tau, 0)
 
 
 def test_initial_hits_interior_breakpoint():
     tau = F(3, 2) - F(1, 100)
     ic = InitialCondition.from_pairs([(-tau, -tau), (F(-1, 2), F(-1, 4)), (0, 0)])
-    assert initial_hits(ic, tau) == deque([tau])
+    trace = simulate_switches(tau, 1, ic=ic)
+    assert trace.events[0] == TraceEvent(F(0), F(0), "hit")
+    assert (trace.turning_points[0].beta, trace.turning_points[0].hit_time) == (tau, 0)
 
 
 def test_initial_condition_rejects_boundary_contact():
@@ -57,8 +54,11 @@ def test_initial_condition_rejects_boundary_contact():
         [(-tau, F(2)), (0, 0)],  # crosses 1
     ]
     for pairs in bad:
+        ic = InitialCondition.from_pairs(pairs)
         with pytest.raises(InvalidInitialCondition):
-            initial_hits(InitialCondition.from_pairs(pairs), tau)
+            run(tau, ic=ic)
+        with pytest.raises(InvalidInitialCondition):
+            simulate_switches(tau, 5, ic=ic)
 
 
 def test_initial_condition_shape_errors():
@@ -81,64 +81,119 @@ def test_history_shape_is_irrelevant_beyond_hits():
 
 
 def test_next_boundary_hit_cases():
-    def state_at(x, slope):
-        return SimState(tau=F(7, 5), t=F(10), x=F(x), slope=slope, pending=deque())
-
-    assert next_boundary_hit(state_at(0, 1)) == 11  # rises to 1 in unit time
-    assert next_boundary_hit(state_at(F(20, 43), 1)) == F(10) + F(23, 43)
-    assert next_boundary_hit(state_at(F(-10, 43), -1)) is None
-    assert next_boundary_hit(state_at(F(-1, 2), 1)) == F(21, 2)  # reaches 0 first
-    assert next_boundary_hit(state_at(F(3, 2), -1)) == F(21, 2)  # reaches 1 first
-    assert next_boundary_hit(state_at(F(1, 2), -1)) == F(21, 2)
-    assert next_boundary_hit(state_at(1, 1)) is None
-    assert next_boundary_hit(state_at(0, -1)) is None
+    # from (0, 0) rising, the first hit is at 1 after unit time
+    assert run(F(4, 3)).trace.events[1] == TraceEvent(F(1), F(1), "hit")
+    # 63/43 falls from 48/43 (switch 5) to 1 and on to 0, then rises from
+    # -10/43 (switch 6) back to 0: each contact is the next hit of the ray
+    events = run(F(63, 43)).trace.events
+    assert [(e.t, e.x, e.kind) for e in events[10:15]] == [
+        (F(226, 43), F(48, 43), "switch"),
+        (F(231, 43), F(1), "hit"),
+        (F(274, 43), F(0), "hit"),
+        (F(284, 43), F(-10, 43), "switch"),
+        (F(294, 43), F(0), "hit"),
+    ]
+    for tau in sample_taus():
+        events = run(tau).trace.events
+        for a, b in zip(events, events[1:]):
+            # no contact with {0, 1} strictly between two consecutive events
+            lo, hi = min(a.x, b.x), max(a.x, b.x)
+            assert not lo < 0 < hi and not lo < 1 < hi
+        on_boundary = {(e.t, e.x) for e in events if e.x in (0, 1)}
+        hit_points = {(e.t, e.x) for e in events if e.kind == "hit"}
+        assert on_boundary == hit_points  # every contact is a hit, every hit a contact
 
 
 def test_step_orders_hit_before_scheduled_switch():
-    state = new_state(F(4, 3))
-    first = step(state)
-    assert (first.t, first.x, first.hit, first.switched) == (F(1), F(1), True, False)
-    second = step(state)
-    assert (second.t, second.x, second.switched) == (F(4, 3), F(4, 3), True)
-    assert state.turning_points[0].alpha == F(4, 3)
+    events = run(F(4, 3)).trace.events
+    assert events[1] == TraceEvent(F(1), F(1), "hit")
+    assert events[2] == TraceEvent(F(4, 3), F(4, 3), "switch")
+    assert run(F(4, 3)).turning_points[0].alpha == F(4, 3)
+    # at a coinciding instant the hit is recorded first, the switch second
+    for tau in sample_taus():
+        events = run(tau).trace.events
+        for a, b in zip(events, events[1:]):
+            if a.t == b.t:
+                assert (a.kind, b.kind) == ("hit", "switch") and a.x == b.x
 
 
 def test_step_requires_future_event():
-    dead = SimState(tau=F(7, 5), t=F(0), x=F(-2), slope=-1, pending=deque())
-    assert detect_divergence(dead) == -1
-    with pytest.raises(RuntimeError):
-        step(dead)
+    # the loop stops at divergence instead of stepping into an eventless state
+    out = run(F(63, 43))
+    assert isinstance(out, Divergent) and out.direction == -1
+    last = out.trace.events[-1]
+    assert last.kind == "switch" and last.x < 0
+    replay = simulate_switches(F(63, 43), 50)
+    assert replay == out.trace
 
 
 # --- divergence ------------------------------------------------------------
 
 
 def test_detect_divergence_cases():
-    def state_at(x, slope, pending=()):
-        return SimState(tau=F(63, 43), t=F(0), x=F(x), slope=slope, pending=deque(pending))
-
-    assert detect_divergence(state_at(F(-23, 43), -1)) == -1
-    assert detect_divergence(state_at(F(1, 2), -1)) is None  # will hit 0
-    assert detect_divergence(state_at(F(2), 1)) == 1
-    assert detect_divergence(state_at(F(-23, 43), -1, pending=[F(1)])) is None
+    out = run(F(63, 43))  # theta_2: to -inf after 9 switchings
+    assert (out.direction, out.total_switchings) == (-1, 9)
+    out = run(F(5, 2))  # above 2 the path leaves through 1 after 2 switchings
+    assert isinstance(out, Divergent)
+    assert (out.direction, out.total_switchings) == (1, 2)
+    assert out.trace.events[-1].x > 1
+    # below 0 with a switch still pending is not divergence: 63/43 turns at
+    # -10/43 (switch 6) and comes back up to 0
+    points = run(F(63, 43)).trace.turning_points
+    assert points[5].alpha == F(-10, 43) and points[6].alpha == 0
 
 
 # --- period detection ------------------------------------------------------
 
 
+def post_switch_states(points, tau):
+    """(slope, x, pending offsets) right after each switch, rebuilt from the
+    turning points alone: the switches pending after switch n are the later
+    ones whose hit happened at or before beta_n.  Only switches at least tau
+    before the last one are returned, so that no pending switch is cut off."""
+    states = []
+    for n, point in enumerate(points, start=1):
+        if point.beta + tau > points[-1].beta:
+            break
+        offsets = tuple(
+            b.beta - point.beta for b in points[n:] if b.hit_time <= point.beta
+        )
+        states.append(((-1) ** n, point.alpha, offsets))
+    return states
+
+
+def earliest_recurrence(states):
+    seen = {}
+    for j, state in enumerate(states, start=1):
+        if state in seen:
+            return seen[state], j
+        seen[state] = j
+    return None
+
+
 def test_detect_period_earliest_pair():
-    a = Snapshot(1, F(0), (F(1),))
-    b = Snapshot(-1, F(1, 2), (F(1), F(2)))
-    c = Snapshot(1, F(1, 3), ())
-    assert detect_period([a, b, c, b, a]) == (2, 4)
-    assert detect_period([a, b, c]) is None
-    assert detect_period([a, a]) == (1, 2)
+    # the reported cycle is the earliest exact recurrence of the full state
+    for tau in sample_taus():
+        out = run(tau)
+        if not isinstance(out, Periodic):
+            continue
+        i, m = out.start_switch, out.switchings_per_period
+        replay = simulate_switches(tau, i + 2 * m + 4).turning_points
+        assert earliest_recurrence(post_switch_states(replay, tau)) == (i, i + m)
+        assert out.least_period == replay[i + m - 1].beta - replay[i - 1].beta
 
 
 def test_detect_period_distinguishes_offsets():
-    a = Snapshot(1, F(0), (F(1),))
-    b = Snapshot(1, F(0), (F(1), F(4, 3)))
-    assert detect_period([a, b]) is None
+    # 11/8 is at -7/8 with slope +1 after switch 6 and after switch 8, with
+    # two switches pending the first time and none the second: only the full
+    # state may close the cycle
+    tau = F(11, 8)
+    out = run(tau)
+    i, m = out.start_switch, out.switchings_per_period
+    states = post_switch_states(simulate_switches(tau, i + 2 * m + 4).turning_points, tau)
+    assert states[5] == (1, F(-7, 8), (F(1, 4), F(1, 2)))
+    assert states[7] == (1, F(-7, 8), ())
+    assert (i, i + m) != (6, 8) and i + m > 8
 
 
 # --- golden traces ---------------------------------------------------------
@@ -251,24 +306,19 @@ def test_delay_exactness_and_slope_parity():
         trace = run(tau).trace
         for point in trace.turning_points:
             assert point.beta - point.hit_time == tau
-        state = new_state(tau)
-        for _ in range(60):
-            if detect_divergence(state) is not None:
-                break
-            step(state)
-            assert state.slope == (1 if state.switch_count % 2 == 0 else -1)
+        switches = 0
+        for a, b in zip(trace.events, trace.events[1:]):
+            switches += a.kind == "switch"
+            if b.t > a.t:  # slope +1 exactly while the switch count is even
+                assert (b.x - a.x) / (b.t - a.t) == (-1) ** switches
 
 
 def test_snapshot_offsets_invariant():
     for tau in sample_taus():
-        state = new_state(tau)
-        for _ in range(80):
-            if detect_divergence(state) is not None:
-                break
-            step(state)
-        for snap in state.snapshots:
-            assert all(0 < off <= tau for off in snap.offsets)
-            assert all(a < b for a, b in zip(snap.offsets, snap.offsets[1:]))
+        points = simulate_switches(tau, 80).turning_points
+        for _, _, offsets in post_switch_states(points, tau):
+            assert all(0 < off <= tau for off in offsets)
+            assert all(a < b for a, b in zip(offsets, offsets[1:]))
 
 
 def test_simulation_matches_closed_forms_up_to_horizon():
