@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterator
 
 from .exact import Rat
 
@@ -80,13 +79,14 @@ def critical_value(kind: CriticalKind, k: int) -> Rat:
     return Fraction(3 * (2 * p - 1), 4 * p - 1)
 
 
-def _criticals_ascending() -> Iterator[Rat]:
-    k = 1
-    while True:
-        yield critical_value(CriticalKind.TAU, k)
-        yield critical_value(CriticalKind.THETA, k)
-        yield critical_value(CriticalKind.ZETA, k)
-        k += 1
+def _window_k(tau: Rat) -> int:
+    """The k with tau_k <= tau < tau_{k+1}, for tau = a/b in [4/3, 3/2).
+
+    tau_k <= a/b  <=>  4^k * (3b - 2a) <= a  <=>  4^k <= a // (3b - 2a),
+    so k is the floor of log4 of that quotient, read off its bit length.
+    """
+    a, b = tau.numerator, tau.denominator
+    return ((a // (3 * b - 2 * a)).bit_length() - 1) // 2
 
 
 def distance_to_critical(tau: Rat) -> Rat:
@@ -100,13 +100,10 @@ def distance_to_critical(tau: Rat) -> Rat:
         return tau - SUP
     if tau <= TAU_LOW:
         return TAU_LOW - tau
-    previous = None
-    for c in _criticals_ascending():
-        if c >= tau:
-            below = [] if previous is None else [tau - previous]
-            return min([c - tau] + below)
-        previous = c
-    raise AssertionError("unreachable: the sequences pass every tau < 3/2")
+    k = _window_k(tau)
+    neighbours = [critical_value(kind, k) for kind in CriticalKind]
+    neighbours.append(critical_value(CriticalKind.TAU, k + 1))
+    return min(abs(c - tau) for c in neighbours)
 
 
 def beta_closed(j: int, tau: Rat) -> Rat:
@@ -179,10 +176,10 @@ def horizon_J(tau: Rat, j_cap: int = 200) -> int | float:
 _OUT_OF_RANGE = Prediction(Regime(RegimeKind.OUT_OF_RANGE), None, None)
 
 
-def classify(tau: Rat, k_cap: int = 64) -> Prediction:
+def classify(tau: Rat) -> Prediction:
     """Locate tau against the critical sequences and predict its behavior.
 
-    For the k with tau_k <= tau < tau_{k+1} (exact comparisons):
+    For the k with tau_k <= tau < tau_{k+1} (found in O(1), exactly):
 
         tau = tau_k               periodic,   4k+2 switchings per least period
         tau_k < tau < theta_k     periodic,   2k+4
@@ -191,29 +188,26 @@ def classify(tau: Rat, k_cap: int = 64) -> Prediction:
         tau = zeta_k              to -inf,    4k+5 switchings total
         zeta_k < tau < tau_{k+1}  periodic,   2k+4
 
-    Delays outside [4/3, 3/2) are out of range (no prediction).  k_cap is a
-    safety valve only: the search needs k with tau_k <= tau, which exists for
-    every tau < 3/2.
+    Delays outside [4/3, 3/2) are out of range (no prediction); every delay
+    inside gets an answer, however close to 3/2 it lies.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
     if tau < TAU_LOW or tau >= SUP:
         return _OUT_OF_RANGE
-    for k in range(1, k_cap + 1):
-        if tau >= critical_value(CriticalKind.TAU, k + 1):
-            continue
-        periodic, diverges = Behavior.PERIODIC, Behavior.DIVERGENT_MINUS_INF
-        if tau == critical_value(CriticalKind.TAU, k):
-            return Prediction(Regime(RegimeKind.AT_TAU, k), periodic, 4 * k + 2)
-        theta = critical_value(CriticalKind.THETA, k)
-        if tau < theta:
-            return Prediction(Regime(RegimeKind.OPEN_TAU_THETA, k), periodic, 2 * k + 4)
-        if tau == theta:
-            return Prediction(Regime(RegimeKind.AT_THETA, k), diverges, 2 * k + 5)
-        zeta = critical_value(CriticalKind.ZETA, k)
-        if tau < zeta:
-            return Prediction(Regime(RegimeKind.OPEN_THETA_ZETA, k), periodic, 2 * k + 6)
-        if tau == zeta:
-            return Prediction(Regime(RegimeKind.AT_ZETA, k), diverges, 4 * k + 5)
-        return Prediction(Regime(RegimeKind.OPEN_ZETA_TAU_NEXT, k), periodic, 2 * k + 4)
-    raise ValueError(f"tau is closer to 3/2 than k_cap={k_cap} resolves")
+    tau = Fraction(tau)
+    k = _window_k(tau)
+    periodic, diverges = Behavior.PERIODIC, Behavior.DIVERGENT_MINUS_INF
+    if tau == critical_value(CriticalKind.TAU, k):
+        return Prediction(Regime(RegimeKind.AT_TAU, k), periodic, 4 * k + 2)
+    theta = critical_value(CriticalKind.THETA, k)
+    if tau < theta:
+        return Prediction(Regime(RegimeKind.OPEN_TAU_THETA, k), periodic, 2 * k + 4)
+    if tau == theta:
+        return Prediction(Regime(RegimeKind.AT_THETA, k), diverges, 2 * k + 5)
+    zeta = critical_value(CriticalKind.ZETA, k)
+    if tau < zeta:
+        return Prediction(Regime(RegimeKind.OPEN_THETA_ZETA, k), periodic, 2 * k + 6)
+    if tau == zeta:
+        return Prediction(Regime(RegimeKind.AT_ZETA, k), diverges, 4 * k + 5)
+    return Prediction(Regime(RegimeKind.OPEN_ZETA_TAU_NEXT, k), periodic, 2 * k + 4)

@@ -116,6 +116,7 @@ def _outcome_doc(tau: Fraction, outcome: engine.Outcome) -> dict:
         doc["turning_points"] = [_turning_doc(p) for p in outcome.trace.turning_points]
     else:
         doc["switchings_executed"] = outcome.switchings_executed
+        doc["stopped_by"] = outcome.stopped_by
     return doc
 
 

@@ -124,6 +124,7 @@ class Divergent:
 class Undetermined:
     switchings_executed: int
     trace: SimTrace
+    stopped_by: str = "max_switches"  # the limit that ended the run, or "max_time"
 
 
 Outcome = Periodic | Divergent | Undetermined
@@ -165,12 +166,12 @@ def _simulate(
     pending = deque([p])  # strictly increasing switch times in (t, t + p]
     events = [(0, 0, "hit")]
     first_seen: dict[tuple, int] = {}
-    result = None
     while True:
         if not pending and (x < 0 if slope < 0 else x > q):
             result = (Divergent, slope)
             break
         if switches >= max_switches or t >= t_cap:
+            result = (Undetermined, "max_switches" if switches >= max_switches else "max_time")
             break
         if slope > 0:
             hit = t - x if x < 0 else (t + q - x if x < q else None)
@@ -205,9 +206,9 @@ def _simulate(
                     result = (Periodic, first)
                     break
     trace = _trace(tau, events)
-    if result is None:
-        return Undetermined(switches, trace)
     kind, value = result
+    if kind is Undetermined:
+        return Undetermined(switches, trace, value)
     if kind is Divergent:
         return Divergent(value, switches, trace)
     i, points = value, trace.turning_points

@@ -1,7 +1,9 @@
-"""Exact rational arithmetic for the simulator core.
+"""Exact rationals at the package's API boundary.
 
-Every quantity the core manipulates (the delay, event times, positions,
-switch coordinates) is an exact rational.  ``Rat`` is
+Every quantity the package reports (the delay, event times, positions,
+switch coordinates) is an exact rational.  The engine's event loop runs on
+plain integers scaled by the delay's denominator q (all its quantities lie
+in (1/q)*Z) and converts to ``Rat`` once, when a run ends.  ``Rat`` is
 :class:`fractions.Fraction`, which already provides the canonical form the
 rest of the package relies on: positive denominator, numerator and
 denominator coprime, unbounded integers, exact total order.  This module adds

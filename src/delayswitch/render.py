@@ -25,6 +25,12 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
+def _escape(text: str) -> str:
+    """XML character data for ``text``: ``xml.sax.saxutils.escape`` without
+    importing ``xml.sax``, which would slow down every CLI start."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 @dataclass(frozen=True)
 class Viewport:
     """Affine map from data coordinates (t, x) to pixel coordinates."""
@@ -137,7 +143,7 @@ def render_trajectory(
     if title:
         lines.append(
             f'<text x="{_fmt(_PAD)}" y="20.00" font-family="monospace" '
-            f'font-size="14">{title}</text>'
+            f'font-size="14">{_escape(title)}</text>'
         )
     for level, name in ((0.0, "0"), (1.0, "1")):
         (px0, py) = vp.to_px(vp.t0, level)

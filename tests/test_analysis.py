@@ -6,6 +6,7 @@ import pytest
 from delayswitch.analysis import (
     Behavior,
     CriticalKind,
+    Regime,
     RegimeKind,
     alpha_closed,
     alpha_from_beta,
@@ -16,6 +17,7 @@ from delayswitch.analysis import (
     distance_to_critical,
     horizon_J,
 )
+from delayswitch.exact import rat_parse
 
 TAU, THETA, ZETA = CriticalKind.TAU, CriticalKind.THETA, CriticalKind.ZETA
 
@@ -216,12 +218,23 @@ def test_classify_boundary_consistency():
             assert (p.regime.kind, p.regime.k) == (expected, k)
 
 
-def test_classify_near_limit_within_cap():
+def test_classify_near_limit():
+    # regression: delays closer to 3/2 than tau_65 were refused by a k cap
     tau = F(3, 2) - F(1, 2**120)
     p = classify(tau)
     assert p.regime.kind is not RegimeKind.OUT_OF_RANGE
-    with pytest.raises(ValueError):
-        classify(tau, k_cap=3)
+    for k in range(65, 71):
+        lo, hi = critical_value(TAU, k), critical_value(TAU, k + 1)
+        for kind, at in ((TAU, RegimeKind.AT_TAU), (THETA, RegimeKind.AT_THETA),
+                         (ZETA, RegimeKind.AT_ZETA)):
+            assert classify(critical_value(kind, k)).regime == Regime(at, k)
+        for tau in (lo + (hi - lo) / 3, (critical_value(ZETA, k) + hi) / 2):
+            assert classify(tau).regime.k == k
+    near = rat_parse("1.4" + "9" * 40)  # 3/2 - 10^-41
+    p = classify(near)
+    k = p.regime.k
+    assert critical_value(TAU, k) <= near < critical_value(TAU, k + 1)
+    assert k > 64
 
 
 def test_distance_to_critical():

@@ -84,6 +84,15 @@ def test_simulate_undetermined_exit_code(capsys):
     assert json.loads(out)["outcome"] == "undetermined"
 
 
+def test_simulate_undetermined_names_the_limit(capsys):
+    code, out, _ = run_cli(capsys, "simulate", "89/66", "--max-switches", "3")
+    assert (code, json.loads(out)["stopped_by"]) == (3, "max_switches")
+    code, out, _ = run_cli(capsys, "simulate", "89/66", "--max-time", "7/2")
+    assert (code, json.loads(out)["stopped_by"]) == (3, "max_time")
+    code, out, _ = run_cli(capsys, "simulate", "4/3")
+    assert code == 0 and "stopped_by" not in json.loads(out)
+
+
 def test_simulate_trace_file(tmp_path, capsys):
     trace_path = tmp_path / "trace.json"
     code, _, _ = run_cli(capsys, "simulate", "63/43", "--trace", str(trace_path))

@@ -276,12 +276,25 @@ def test_limits_give_undetermined():
     out = run(F(89, 66), max_switches=3)
     assert isinstance(out, Undetermined)
     assert out.switchings_executed == 3
+    assert out.stopped_by == "max_switches"
     out = run(F(89, 66), max_time=F(2))
     assert isinstance(out, Undetermined)
+    assert out.stopped_by == "max_time"
     with pytest.raises(ValueError):
         run(F(89, 66), max_switches=0)
     with pytest.raises(ValueError):
         run(F(0))
+
+
+def test_stopped_by_names_the_limit_that_fired():
+    tau = F(89, 66)
+    by_switches = run(tau, max_switches=5, max_time=F(1000))
+    assert (by_switches.stopped_by, by_switches.switchings_executed) == ("max_switches", 5)
+    by_time = run(tau, max_switches=1000, max_time=F(7, 2))
+    assert by_time.stopped_by == "max_time"
+    assert by_time.trace.events[-1].t >= F(7, 2) > by_time.trace.events[-2].t
+    # the two-argument constructor still works and defaults to max_switches
+    assert Undetermined(3, by_switches.trace).stopped_by == "max_switches"
 
 
 # --- runtime invariants ----------------------------------------------------

@@ -1,4 +1,5 @@
 import re
+import xml.etree.ElementTree as ET
 from fractions import Fraction as F
 
 import pytest
@@ -77,3 +78,10 @@ def test_svg_element_subset():
     svg = render_trajectory(engine.run(F(63, 43)), label_indices=(1,))
     tags = set(re.findall(r"<([a-zA-Z][a-zA-Z0-9]*)", svg))
     assert tags <= {"svg", "defs", "marker", "line", "polyline", "text"}
+
+
+def test_title_is_escaped():
+    svg = render_trajectory(engine.run(F(4, 3)), title="a<b & c")
+    root = ET.fromstring(svg)
+    texts = [e.text for e in root.iter("{http://www.w3.org/2000/svg}text")]
+    assert "a<b & c" in texts
