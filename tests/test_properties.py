@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from delayswitch.analysis import (
+    Behavior,
     CriticalKind,
     alpha_closed,
     beta_closed,
@@ -39,7 +40,7 @@ critical_delays = st.builds(
 def test_engine_agrees_with_the_closed_forms(tau):
     prediction = classify(tau)
     out = run(tau)
-    if prediction.behavior.value == "periodic":
+    if prediction.behavior is Behavior.PERIODIC:
         assert isinstance(out, Periodic)
         assert out.switchings_per_period == prediction.switch_count
     else:
