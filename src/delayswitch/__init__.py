@@ -5,10 +5,10 @@ delayed position x(t - tau) lies in the critical set {0, 1}; simulation
 starts on the rising branch from x(0) = 0 after a history that stays clear
 of {0, 1} before time zero.  All core arithmetic is exact (the engine runs
 on integers scaled by the delay's denominator), so the critical delays
-(where long-run behavior changes discontinuously) classify exactly.  The package provides the closed-form regime classifier, the exact
-event-driven engine with period and divergence detection, cross-validation
-(including a fixed-step floating-point oracle), and an SVG trajectory
-renderer.
+(where long-run behavior changes discontinuously) classify exactly.  The
+package provides the closed-form regime classifier, the exact event-driven
+engine with period and divergence detection, cross-validation (including a
+fixed-step floating-point oracle), and an SVG trajectory renderer.
 """
 
 from .analysis import (
