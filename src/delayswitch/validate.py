@@ -10,6 +10,7 @@ never aborts.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import io
 import json
@@ -163,6 +164,8 @@ def float_oracle(tau: Rat, dt: float = 1e-6, t_end: float = 20.0) -> list[tuple[
     delay being a non-integer number of steps); when the delayed sample
     crosses 0 or 1 the slope is toggled at the interpolated crossing instant
     inside that step, which keeps discretization error far inside tolerance.
+    Blocks of steps far from both bounds are summed by :func:`_advance`, so
+    the cost follows the number of crossings, not of steps.
 
     Refuses delays within 1000*dt of a critical value: floating point cannot
     resolve behavior that changes on exact rational equality.
@@ -184,55 +187,121 @@ def float_oracle(tau: Rat, dt: float = 1e-6, t_end: float = 20.0) -> list[tuple[
     delay = tau_f / dt
     d_int = int(delay)
     d_frac = delay - d_int
-    off = d_int + 1  # history samples live at step indices -off..0
-    x = np.empty(off + n_steps + 1, dtype=np.float64)
-    x[: off + 1] = np.arange(-off, 1, dtype=np.float64) * dt  # canonical history x = t
+    # Positions as blocks (first step, positions, origin, sum, increment): the
+    # history and blocks with a crossing keep positions; a steady block keeps
+    # its chunk's origin, the sum before it and its increment.
+    blocks = [(-d_int - 1, np.arange(-d_int - 1, 1, dtype=np.float64) * dt, 0.0, 0.0, 0.0)]
+    turns: list[int] = []  # steps with a crossing: x is monotone between them
     slope = 1.0
     turning: list[tuple[float, float]] = []
-    filled = 0
+    filled, block = 0, 1 << 15  # steps per block
     while filled < n_steps:
         # Chunks never exceed the delay in steps, so every delayed sample
         # needed below was computed in an earlier chunk.
         length = min(d_int, n_steps - filled)
-        lo = filled + 1
-        base = off + lo - 1 - d_int
-        seg = x[base - 1 : base + length + 1]
-        delayed = (1.0 - d_frac) * seg[1:] + d_frac * seg[:-1]
-        crossings: list[tuple[int, float]] = []
-        for bound in (0.0, 1.0):
-            left = delayed[:-1] - bound
-            right = delayed[1:] - bound
-            for idx in np.nonzero((left * right < 0.0) | ((right == 0.0) & (left != 0.0)))[0]:
-                i = int(idx)
-                frac = 1.0 if right[i] == 0.0 else float(left[i] / (left[i] - right[i]))
-                crossings.append((lo + i, frac))
-        crossings.sort()
-        slopes = np.full(length, slope)
-        for n, _ in crossings:
-            slopes[n - lo + 1 :] *= -1.0
-        incr = slopes * dt
-        by_step: dict[int, list[float]] = {}
-        for n, frac in crossings:
-            by_step.setdefault(n, []).append(frac)
-        for n, fracs in by_step.items():
-            s = slopes[n - lo]
-            travelled, prev = 0.0, 0.0
-            for frac in fracs:
-                travelled += s * (frac - prev)
-                s, prev = -s, frac
-            incr[n - lo] = (travelled + s * (1.0 - prev)) * dt
-        x[off + lo : off + lo + length] = x[off + filled] + np.cumsum(incr)
-        for n in sorted(by_step):
-            s = float(slopes[n - lo])
-            x_cur = float(x[off + n - 1])
-            prev = 0.0
-            for frac in by_step[n]:
-                x_cur += s * (frac - prev) * dt
-                turning.append(((n - 1 + frac) * dt, x_cur))
-                s, prev = -s, frac
-        slope *= (-1.0) ** len(crossings)
+        origin = _positions(blocks, filled, filled)[0]
+        total = 0.0  # running sum of the chunk's increments
+        for lo in range(filled + 1, filled + length + 1, block):
+            size = min(block, filled + length + 1 - lo)
+            a, b = lo - 2 - d_int, lo - 1 - d_int + size  # steps the delayed samples read
+            # With no crossing among steps a..b their positions are monotone, so
+            # a delayed value strays from the ends' range by a few ulps at most.
+            low, high = sorted((_positions(blocks, a, a)[0], _positions(blocks, b, b)[0]))
+            margin = 1e-12 * (1.0 + max(abs(low), abs(high)))
+            crossings: list[tuple[int, float]] = []
+            if bisect.bisect_right(turns, b) > bisect.bisect_right(turns, a) or any(
+                low - margin <= bound <= high + margin for bound in (0.0, 1.0)
+            ):
+                seg = _positions(blocks, a, b)
+                delayed = (1.0 - d_frac) * seg[1:] + d_frac * seg[:-1]
+                for bound in (0.0, 1.0):
+                    left, right = delayed[:-1] - bound, delayed[1:] - bound
+                    hits = (left * right < 0.0) | ((right == 0.0) & (left != 0.0))
+                    for i in np.nonzero(hits)[0].tolist():
+                        frac = 1.0 if right[i] == 0.0 else float(left[i] / (left[i] - right[i]))
+                        crossings.append((lo + i, frac))
+                crossings.sort()
+            if not crossings:
+                blocks.append((lo, None, origin, total, slope * dt))
+                total = _advance(total, slope * dt, size)
+                continue
+            slopes = np.full(size, slope)
+            for n, _ in crossings:
+                slopes[n - lo + 1 :] *= -1.0
+            incr = slopes * dt
+            by_step: dict[int, list[float]] = {}
+            for n, frac in crossings:
+                by_step.setdefault(n, []).append(frac)
+            for n, fracs in by_step.items():
+                s = slopes[n - lo]
+                travelled, prev = 0.0, 0.0
+                for frac in fracs:
+                    travelled += s * (frac - prev)
+                    s, prev = -s, frac
+                incr[n - lo] = (travelled + s * (1.0 - prev)) * dt
+            incr[0] += total  # 0.0 at a chunk's start, which leaves incr[0] as it is
+            sums = np.cumsum(incr)
+            total = sums[-1]
+            blocks.append((lo, origin + sums, 0.0, 0.0, 0.0))
+            for n in sorted(by_step):
+                s = float(slopes[n - lo])
+                x_cur = float(_positions(blocks, n - 1, n - 1)[0])
+                prev = 0.0
+                for frac in by_step[n]:
+                    x_cur += s * (frac - prev) * dt
+                    turning.append(((n - 1 + frac) * dt, x_cur))
+                    s, prev = -s, frac
+                turns.append(n)
+            slope *= (-1.0) ** len(crossings)
         filled += length
     return turning
+
+
+def _positions(blocks: list[tuple], a: int, b: int) -> np.ndarray:
+    """The oracle's positions at steps a..b, from its blocks (see float_oracle)."""
+    parts = []
+    while a <= b:
+        i = bisect.bisect_right(blocks, a, key=lambda block: block[0]) - 1
+        first, xs, origin, before, inc = blocks[i]
+        last = min(b, blocks[i + 1][0] - 1 if i + 1 < len(blocks) else b)
+        if xs is not None:
+            parts.append(xs[a - first : last - first + 1])
+        else:
+            sums = np.full(last - a + 1, inc)
+            sums[0] += _advance(before, inc, a - first)
+            parts.append(origin + np.cumsum(sums))
+        a = last + 1
+    return np.concatenate(parts)
+
+
+def _advance(s: float, c: float, n: int) -> float:
+    """``s`` after ``n`` float additions of ``c``, exactly as ``s += c`` in a
+    loop leaves it.  Within a binade each addition adds c rounded to a
+    multiple of the ulp, the same every time unless c is an odd multiple of
+    half an ulp (a tie, decided by the parity of s); so the loop jumps a
+    binade at a time, and does ties, exits and |s| <= |c| one at a time.
+    """
+    while n > 0:
+        k = 0
+        if abs(s) > abs(c):
+            _, e = math.frexp(s)  # 2**(e-1) <= |s| < 2**e
+            u = math.ldexp(1.0, e - 53)
+            units, q = int(abs(s) / u), abs(c) / u
+            frac = q - math.floor(q)
+            r = math.floor(q) + (frac > 0.5)  # ulps added (or taken) per addition
+            # additions 1..k round as in the binade while k*r <= room; going
+            # up, a sum just past the top still rounds down to 2**e
+            up = (c > 0) == (s > 0)
+            room = (1 << 53) - units if up else units - (1 << 52) - (0.0 < frac < 0.5)
+            if frac != 0.5 and room >= 0:
+                if r == 0:
+                    return s  # c is below half an ulp: no addition changes s
+                k = min(room // r, n)
+                s = math.copysign((units + (k * r if up else -k * r)) * u, s)
+        if k == 0:
+            s, k = s + c, 1
+        n -= k
+    return s
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,15 @@
 import json
+import random
+import tracemalloc
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from delayswitch import engine
 from delayswitch.validate import (
     OracleRefusal,
+    _advance,
     check_closed_form,
     check_theorem,
     float_oracle,
@@ -89,6 +93,96 @@ def test_float_oracle_first_turning_points():
     for (t, x), point in zip(pts, exact):
         assert abs(t - float(point.beta)) < 1e-5
         assert abs(x - float(point.alpha)) < 1e-5
+
+
+def _whole_history_oracle(tau_f, dt, t_end):
+    """The oracle as first written: the whole history in one array, each
+    chunk of at most one delay summed in one go."""
+    n_steps = int(round(t_end / dt))
+    delay = tau_f / dt
+    d_int = int(delay)
+    d_frac = delay - d_int
+    off = d_int + 1
+    x = np.empty(off + n_steps + 1)
+    x[: off + 1] = np.arange(-off, 1, dtype=np.float64) * dt
+    slope, turning, filled = 1.0, [], 0
+    while filled < n_steps:
+        length = min(d_int, n_steps - filled)
+        lo = filled + 1
+        base = off + lo - 1 - d_int
+        seg = x[base - 1 : base + length + 1]
+        delayed = (1.0 - d_frac) * seg[1:] + d_frac * seg[:-1]
+        crossings = []
+        for bound in (0.0, 1.0):
+            left, right = delayed[:-1] - bound, delayed[1:] - bound
+            for i in np.nonzero((left * right < 0.0) | ((right == 0.0) & (left != 0.0)))[0]:
+                frac = 1.0 if right[i] == 0.0 else float(left[i] / (left[i] - right[i]))
+                crossings.append((lo + int(i), frac))
+        crossings.sort()
+        slopes = np.full(length, slope)
+        for n, _ in crossings:
+            slopes[n - lo + 1 :] *= -1.0
+        incr = slopes * dt
+        by_step = {}
+        for n, frac in crossings:
+            by_step.setdefault(n, []).append(frac)
+        for n, fracs in by_step.items():
+            s, travelled, prev = slopes[n - lo], 0.0, 0.0
+            for frac in fracs:
+                travelled += s * (frac - prev)
+                s, prev = -s, frac
+            incr[n - lo] = (travelled + s * (1.0 - prev)) * dt
+        x[off + lo : off + lo + length] = x[off + filled] + np.cumsum(incr)
+        for n in sorted(by_step):
+            s, x_cur, prev = float(slopes[n - lo]), float(x[off + n - 1]), 0.0
+            for frac in by_step[n]:
+                x_cur += s * (frac - prev) * dt
+                turning.append(((n - 1 + frac) * dt, x_cur))
+                s, prev = -s, frac
+        slope *= (-1.0) ** len(crossings)
+        filled += length
+    return turning
+
+
+@pytest.mark.parametrize(
+    "tau, dt, t_end",
+    [(F(1449, 1000), 1e-6, 3.0), (F(13, 10), 1e-6, 3.0), (F(1, 2), 1e-6, 3.0),
+     (F(3, 100), 1e-6, 3.0), (F(5, 2), 1e-6, 3.0), (F(27, 20), 2.5e-7, 3.0),
+     # turns close to a bound, so a block's positions are not monotone there
+     (F(2003, 1500), 1e-6, 5.0)],
+)
+def test_float_oracle_matches_whole_history_version(tau, dt, t_end):
+    # the same floats, bit for bit, as the step-by-step sums give
+    assert float_oracle(tau, dt=dt, t_end=t_end) == _whole_history_oracle(float(tau), dt, t_end)
+
+
+def test_advance_matches_step_by_step_sums():
+    rng = random.Random(7)
+    # a sum that falls just below a power of two, onto the finer grid there
+    cases = [(1 + 5 * 2.0**-52, -5.375 * 2.0**-52, n) for n in (1, 2, 3)]
+    for _ in range(400):
+        # (2**52 + 3) * 2**-72 makes ties that round up and down in turn
+        c = rng.choice([1e-6, 2.5e-7, 2**-20, 3 * 2**-22, 0.1, (2**52 + 3) * 2.0**-72])
+        c *= rng.choice([1, -1])
+        s = rng.choice([0.0, rng.uniform(-2, 2), 17 * c,
+                        rng.choice([1, -1]) * 2.0 ** rng.randint(-22, 1)])
+        cases.append((s, c, rng.choice([rng.randint(1, 50), 1000, rng.randint(1, 100_000)])))
+    for s, c, n in cases:
+        steps = np.full(n, c)
+        steps[0] += s
+        assert _advance(s, c, n) == np.cumsum(steps)[-1], (s, c, n)
+
+
+def test_float_oracle_memory_does_not_grow_with_t_end():
+    tracemalloc.start()
+    try:
+        float_oracle(F(27, 20), dt=1e-6, t_end=20.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # about two delays' worth of samples (2 * 1.35e6 floats, 22 MB), not
+    # the 20e6 steps of the whole run (160 MB)
+    assert peak < 40 * 2**20
 
 
 def test_sweep_endpoints_only():
