@@ -70,11 +70,9 @@ def _read_config(path: str) -> dict[str, str]:
 
 
 def _setting(flag_value, config: dict[str, str], key: str, default, convert):
-    if flag_value is not None:
-        return flag_value
-    if key in config:
-        return convert(config[key])
-    return default
+    """The flag's value, else the config file's, converted; else the default."""
+    raw = flag_value if flag_value is not None else config.get(key)
+    return default if raw is None else convert(raw)
 
 
 def _limits(args, config) -> tuple[int, Fraction]:
@@ -84,8 +82,6 @@ def _limits(args, config) -> tuple[int, Fraction]:
     max_time = _setting(
         args.max_time, config, "max_time", engine.DEFAULT_MAX_TIME, rat_parse
     )
-    if isinstance(max_time, str):
-        max_time = rat_parse(max_time)
     return max_switches, max_time
 
 

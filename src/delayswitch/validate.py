@@ -6,6 +6,9 @@ deliberately low-tech fixed-step floating-point simulation.  ``sweep`` runs
 the classifier-vs-simulator comparison over every regime up to a chosen k
 and serializes the result as CSV or JSON; disagreements are report rows,
 never aborts.
+
+Only the float oracle uses numpy, and it imports numpy on its first call,
+so importing the package and every exact check run without loading it.
 """
 
 from __future__ import annotations
@@ -17,12 +20,14 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import analysis, engine
 from .analysis import Behavior, CriticalKind, Prediction, RegimeKind
 from .exact import Rat, rat_format
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class OracleRefusal(ValueError):
@@ -122,7 +127,6 @@ def check_closed_form(
     tau: Rat,
     max_switches: int = engine.DEFAULT_MAX_SWITCHES,
     max_time: Rat = engine.DEFAULT_MAX_TIME,
-    j_cap: int = 200,
 ) -> ClosedFormCheck:
     """Confirm simulated switch data equals the closed forms up to the horizon.
 
@@ -130,9 +134,13 @@ def check_closed_form(
     and alpha_closed exactly, and the first index at which the simulated
     turning values violate the alternating inequalities must be J itself.
     """
-    horizon = analysis.horizon_J(tau, j_cap)
-    if horizon is math.inf:
-        raise ValueError(f"horizon_J exceeded j_cap={j_cap}")
+    tau = Fraction(tau)
+    if not analysis.TAU_LOW <= tau < analysis.SUP:
+        raise ValueError("check_closed_form requires tau in [4/3, 3/2)")
+    # Even j never fail below 3/2, and odd j = 2m+1 fails first where
+    # tau <= 4^m * (3 - 2*tau); with tau_k <= tau < tau_{k+1} that is m = k
+    # at tau_k and m = k+1 elsewhere, so J <= 2k+3.
+    horizon = analysis.horizon_J(tau, 2 * analysis._window_k(tau) + 3)
     outcome = engine.run(tau, max_switches=max_switches, max_time=max_time)
     points = outcome.trace.turning_points
     mismatches: list[str] = []
@@ -168,8 +176,11 @@ def float_oracle(tau: Rat, dt: float = 1e-6, t_end: float = 20.0) -> list[tuple[
     the cost follows the number of crossings, not of steps.
 
     Refuses delays within 1000*dt of a critical value: floating point cannot
-    resolve behavior that changes on exact rational equality.
+    resolve behavior that changes on exact rational equality.  Also refuses
+    delays shorter than one step.
     """
+    import numpy as np
+
     tau = Fraction(tau)
     if tau <= 0:
         raise ValueError("tau must be positive")
@@ -187,6 +198,8 @@ def float_oracle(tau: Rat, dt: float = 1e-6, t_end: float = 20.0) -> list[tuple[
     delay = tau_f / dt
     d_int = int(delay)
     d_frac = delay - d_int
+    if d_int < 1:  # a chunk spans d_int steps, so the loop below would never advance
+        raise OracleRefusal(f"tau = {rat_format(tau)} is shorter than one step of dt = {dt!r}")
     # Positions as blocks (first step, positions, origin, sum, increment): the
     # history and blocks with a crossing keep positions; a steady block keeps
     # its chunk's origin, the sum before it and its increment.
@@ -259,6 +272,8 @@ def float_oracle(tau: Rat, dt: float = 1e-6, t_end: float = 20.0) -> list[tuple[
 
 def _positions(blocks: list[tuple], a: int, b: int) -> np.ndarray:
     """The oracle's positions at steps a..b, from its blocks (see float_oracle)."""
+    import numpy as np
+
     parts = []
     while a <= b:
         i = bisect.bisect_right(blocks, a, key=lambda block: block[0]) - 1

@@ -178,6 +178,32 @@ def test_verify_out_of_range(capsys):
     assert code == 2
 
 
+def test_verify_answers_large_k(capsys):
+    # k = 117: the closed-form horizon J = 237 lies past j = 200
+    code, out, _ = run_cli(capsys, "verify", "1.4" + "9" * 70)
+    assert code == 0
+    assert "(k=117)" in out and "closed forms up to J=237: OK" in out
+    assert out.endswith("VERDICT: OK\n")
+
+
+def test_max_time_flag_and_config_parse_alike(tmp_path, capsys):
+    config = tmp_path / "delayswitch.conf"
+    config.write_text("max_time = 7/2\n")
+    by_flag = run_cli(capsys, "simulate", "89/66", "--max-time", "7/2")
+    by_config = run_cli(capsys, "--config", str(config), "simulate", "89/66")
+    assert by_flag == by_config and by_flag[0] == 3
+
+    config.write_text("max_time = abc\n")
+    for argv in (
+        ("simulate", "89/66", "--max-time", "abc"),
+        ("--config", str(config), "simulate", "89/66"),
+        ("verify", "4/3", "--max-time", "1e5"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("delayswitch: not a rational literal: ")
+
+
 def test_render_deterministic_file(tmp_path, capsys):
     out_path = tmp_path / "fig.svg"
     code, _, _ = run_cli(capsys, "render", "64/43", "--out", str(out_path))
@@ -237,3 +263,45 @@ def test_usage_error_exit_code():
         env=env,
     )
     assert proc.returncode == 2
+
+
+COLD_START = """
+import os, sys
+import delayswitch
+from delayswitch import cli
+
+out = sys.argv[1]
+with open(os.devnull, "w") as sink:
+    sys.stdout = sink
+    codes = [
+        cli.main(argv)
+        for argv in (
+            ["classify", "63/43"],
+            ["simulate", "145/99", "--trace", os.path.join(out, "trace.json")],
+            ["verify", "145/99"],
+            ["render", "63/43", "--out", os.path.join(out, "fig.svg")],
+            ["critical", "--kind", "zeta", "--k-from", "1", "--k-to", "3"],
+            ["sweep", "--k-max", "1", "--samples", "0", "--out", os.path.join(out, "sweep.csv")],
+        )
+    ]
+    sys.stdout = sys.__stdout__
+assert codes == [0] * 6, codes
+assert "numpy" not in sys.modules, "numpy loaded before the float oracle ran"
+points = delayswitch.float_oracle(27 / 20, t_end=3.2)
+assert len(points) >= 2 and "numpy" in sys.modules
+print("ok")
+"""
+
+
+def test_cold_start_leaves_numpy_unloaded(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", COLD_START, str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok\n"
+    assert {p.name for p in tmp_path.iterdir()} == {"trace.json", "fig.svg", "sweep.csv"}

@@ -1,12 +1,17 @@
 import json
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from delayswitch import engine
+from delayswitch.analysis import CriticalKind, critical_value, horizon_J
 from delayswitch.validate import (
     OracleRefusal,
     _advance,
@@ -17,6 +22,8 @@ from delayswitch.validate import (
     sweep,
     sweep_taus,
 )
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_check_theorem_tau_3():
@@ -72,6 +79,22 @@ def test_check_closed_form_cases():
     assert record.agree and record.horizon == 5
 
 
+def test_check_closed_form_horizon_beyond_j_200():
+    # J is 2k+1 at tau_k and 2k+3 elsewhere in [tau_k, tau_{k+1})
+    for k in (99, 130):
+        tau_k = critical_value(CriticalKind.TAU, k)
+        zeta_k = critical_value(CriticalKind.ZETA, k)
+        tau_next = critical_value(CriticalKind.TAU, k + 1)
+        cases = ((tau_k, 2 * k + 1), (zeta_k, 2 * k + 3), (tau_next - F(1, 10**90), 2 * k + 3))
+        for tau, horizon in cases:
+            record = check_closed_form(tau)
+            assert record.agree, record.mismatches
+            assert record.horizon == record.simulated_horizon == horizon
+            assert horizon_J(tau, 10 * k) == horizon
+    with pytest.raises(ValueError):
+        check_closed_form(F(3, 2))
+
+
 def test_float_oracle_refuses_critical_values():
     for tau in (F(63, 43), F(4, 3), F(7, 5)):
         with pytest.raises(OracleRefusal):
@@ -84,6 +107,27 @@ def test_float_oracle_refuses_critical_values():
 def test_float_oracle_rejects_bad_dt():
     with pytest.raises(ValueError):
         float_oracle(F(27, 20), dt=1e-3)
+
+
+SHORT_DELAY = """
+from fractions import Fraction
+from delayswitch.validate import OracleRefusal, float_oracle
+try:
+    float_oracle(Fraction(1, 10**7), t_end=0.001)
+except OracleRefusal as exc:
+    print("refused:", exc)
+"""
+
+
+def test_float_oracle_refuses_delays_shorter_than_a_step():
+    # run apart, so that a loop which never advances fails by timeout
+    # instead of hanging the suite
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", SHORT_DELAY], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("refused: tau = 1/10000000 is shorter than one step")
 
 
 def test_float_oracle_first_turning_points():
