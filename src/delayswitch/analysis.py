@@ -106,14 +106,26 @@ def distance_to_critical(tau: Rat) -> Rat:
     return min(abs(c - tau) for c in neighbours)
 
 
+def closed_coefficients(j: int) -> tuple[int, int, int, int]:
+    """Integers (a, b, c, d) with beta_j = a*tau + b and alpha_j = c*tau + d,
+    so that with tau = p/q, q*beta_j = a*p + b*q and q*alpha_j = c*p + d*q."""
+    if j < 1:
+        raise ValueError("j must be >= 1")
+    return (
+        (6 * j + 1 - (-2) ** j) // 9,
+        (1 - (-2) ** (j - 1)) // 3,
+        (2**j - (-1) ** j) // 3,
+        1 - 2 ** (j - 1),
+    )
+
+
 def beta_closed(j: int, tau: Rat) -> Rat:
     """Closed form for the j-th switch instant (valid while j <= horizon_J):
 
     beta_j = (6j + 1 - (-2)^j)/9 * tau - ((-2)^(j-1) - 1)/3.
     """
-    if j < 1:
-        raise ValueError("j must be >= 1")
-    return Fraction(6 * j + 1 - (-2) ** j, 9) * tau - Fraction((-2) ** (j - 1) - 1, 3)
+    a, b, _, _ = closed_coefficients(j)
+    return a * Fraction(tau) + b
 
 
 def beta_recurrence(j_max: int, tau: Rat) -> list[Rat]:
@@ -147,30 +159,28 @@ def alpha_closed(j: int, tau: Rat) -> Rat:
 
     alpha_j = (2^j - (-1)^j)/3 * tau - 2^(j-1) + 1.
     """
-    if j < 1:
-        raise ValueError("j must be >= 1")
-    return Fraction(2**j - (-1) ** j, 3) * tau - 2 ** (j - 1) + 1
+    _, _, c, d = closed_coefficients(j)
+    return c * Fraction(tau) + d
 
 
-def horizon_J(tau: Rat, j_cap: int = 200) -> int | float:
+def horizon_J(tau: Rat, j_cap: int | None = None) -> int | float:
     """Validity horizon of the closed forms.
 
     The largest J such that alpha_j > 1 at every odd j < J and alpha_j < 1 at
     every even j < J; equivalently the first index at which the alternating
-    inequalities fail, scanning alpha_closed.  Returns ``math.inf`` when no
-    failure occurs up to j_cap.  Defined for tau in [4/3, 3/2); the odd
-    subsequence decreases through 1 there, so the true J is always finite.
+    inequalities fail.  Defined for tau in [4/3, 3/2), where it is found in
+    O(1): even j never fail below 3/2, and odd j = 2m+1 holds iff
+    tau > tau_m, so with tau_k <= tau < tau_{k+1} J is 2k+1 at tau_k and
+    2k+3 elsewhere.  Returns ``math.inf`` when J exceeds ``j_cap``.
     """
     if not TAU_LOW <= tau < SUP:
         raise ValueError("horizon_J requires tau in [4/3, 3/2)")
-    if j_cap < 1:
+    if j_cap is not None and j_cap < 1:
         raise ValueError("j_cap must be >= 1")
-    for j in range(1, j_cap + 1):
-        a = alpha_closed(j, tau)
-        holds = a > 1 if j % 2 else a < 1
-        if not holds:
-            return j
-    return math.inf
+    tau = Fraction(tau)
+    k = _window_k(tau)
+    J = 2 * k + 1 if tau == critical_value(CriticalKind.TAU, k) else 2 * k + 3
+    return math.inf if j_cap is not None and J > j_cap else J
 
 
 _OUT_OF_RANGE = Prediction(Regime(RegimeKind.OUT_OF_RANGE), None, None)

@@ -234,7 +234,7 @@ def _cmd_verify(args, config) -> int:
         print(f"period certificate: {'OK' if theorem.certificate_ok else 'FAIL'}")
     closed_msg = "OK" if closed.agree else "FAIL (" + "; ".join(closed.mismatches) + ")"
     print(f"closed forms up to J={closed.horizon}: {closed_msg}")
-    outcome = engine.run(tau, max_switches=max_switches, max_time=max_time)
+    outcome = theorem.outcome
     if isinstance(outcome, engine.Periodic):
         print(
             f"least period {rat_format(outcome.least_period)} "

@@ -6,8 +6,9 @@ is toggled exactly ``tau`` later (a "switch"; the point (beta_j, alpha_j) is
 the j-th turning point).  Between events the path is linear, so with a
 rational delay tau = p/q every event time and coordinate lies in (1/q)*Z.
 The event loop therefore runs on plain integers scaled by q (boundaries 0
-and q, delay p), which is exact without any gcd work; the ``Fraction``
-values of the returned traces are built once, when the loop ends.
+and q, delay p), which is exact without any gcd work.  A trace keeps those
+scaled rows; its ``Fraction`` events and turning points are built on first
+access, so checks that read the rows never pay for them.
 
 The complete Markov state is (slope, position, pending switch offsets):
 exact recurrence of that state across two switch instants certifies
@@ -22,6 +23,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .exact import Rat
 
@@ -77,7 +79,7 @@ class InitialCondition:
                     raise InvalidInitialCondition(f"history crosses {y} before t = 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TurningPoint:
     """A switch instant beta with its position alpha = x(beta).
 
@@ -90,7 +92,7 @@ class TurningPoint:
     hit_time: Rat
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceEvent:
     t: Rat
     x: Rat
@@ -99,18 +101,66 @@ class TraceEvent:
 
 @dataclass(frozen=True)
 class SimTrace:
+    """The events of one run as the loop's scaled rows.
+
+    With tau = p/q each row (T, X, kind) is the event at time T/q and
+    position X/q.  ``events`` and ``turning_points`` are their ``Fraction``
+    views, built together on first access.
+    """
+
     tau: Rat
-    events: tuple[TraceEvent, ...]
-    turning_points: tuple[TurningPoint, ...]
+    rows: tuple[tuple[int, int, str], ...]
+
+    @property
+    def switches(self) -> list[tuple[int, int]]:
+        """Scaled (T, X) of every switch: the turning points times q."""
+        return [(t, x) for t, x, kind in self.rows if kind == "switch"]
+
+    @property
+    def events(self) -> tuple[TraceEvent, ...]:
+        return self._views[0]
+
+    @property
+    def turning_points(self) -> tuple[TurningPoint, ...]:
+        return self._views[1]
+
+    @cached_property
+    def _views(self) -> tuple[tuple[TraceEvent, ...], tuple[TurningPoint, ...]]:
+        """Fraction events and turning points from the rows.
+
+        Hits sit on 0 or 1, and every switch at T was scheduled by the hit at
+        T - p, so each distinct instant is converted only once.
+        """
+        p, q = self.tau.numerator, self.tau.denominator
+        hit_at: dict[int, Fraction] = {}
+        events: list[TraceEvent] = []
+        points: list[TurningPoint] = []
+        for t, x, kind in self.rows:
+            if kind == "hit":
+                when = hit_at[t] = Fraction(t, q)
+                events.append(TraceEvent(when, HIGH if x else LOW, kind))
+                continue
+            when = hit_at.get(t)
+            if when is None:
+                when = Fraction(t, q)
+            where = Fraction(x, q)
+            events.append(TraceEvent(when, where, kind))
+            points.append(TurningPoint(when, where, hit_at[t - p]))
+        return tuple(events), tuple(points)
 
 
 @dataclass(frozen=True)
 class Periodic:
     least_period: Rat
     switchings_per_period: int
-    turning_points: tuple[TurningPoint, ...]  # one full period: switches i..j-1
     start_switch: int  # i, 1-based: first switch of the recurring cycle
     trace: SimTrace
+
+    @property
+    def turning_points(self) -> tuple[TurningPoint, ...]:
+        """One full period: switches i..j-1."""
+        i = self.start_switch
+        return self.trace.turning_points[i - 1 : i - 1 + self.switchings_per_period]
 
 
 @dataclass(frozen=True)
@@ -165,7 +215,7 @@ def _simulate(
     slope = 1  # +1 exactly while the number of executed switches is even
     pending = deque([p])  # strictly increasing switch times in (t, t + p]
     events = [(0, 0, "hit")]
-    first_seen: dict[tuple, int] = {}
+    first_seen: dict[tuple, tuple[int, int]] = {}  # state -> (switch number, T)
     while True:
         if not pending and (x < 0 if slope < 0 else x > q):
             result = (Divergent, slope)
@@ -201,48 +251,23 @@ def _simulate(
             events.append((t, x, "switch"))
             if detect_period:
                 state = (slope, x, tuple(s - t for s in pending))
-                first = first_seen.setdefault(state, switches)
-                if first != switches:
+                first = first_seen.setdefault(state, (switches, t))
+                if first[0] != switches:
                     result = (Periodic, first)
                     break
-    trace = _trace(tau, events)
+    trace = SimTrace(tau, tuple(events))
     kind, value = result
     if kind is Undetermined:
         return Undetermined(switches, trace, value)
     if kind is Divergent:
         return Divergent(value, switches, trace)
-    i, points = value, trace.turning_points
+    i, t_i = value
     return Periodic(
-        least_period=points[switches - 1].beta - points[i - 1].beta,
+        least_period=Fraction(t - t_i, q),
         switchings_per_period=switches - i,
-        turning_points=points[i - 1 : switches - 1],
         start_switch=i,
         trace=trace,
     )
-
-
-def _trace(tau: Fraction, events: list[tuple[int, int, str]]) -> SimTrace:
-    """Convert scaled (T, X, kind) events to Fractions, once, at the end.
-
-    Hits sit on 0 or 1, and every switch at T was scheduled by the hit at
-    T - p, so each distinct instant is converted only once.
-    """
-    p, q = tau.numerator, tau.denominator
-    hit_at: dict[int, Fraction] = {}
-    out: list[TraceEvent] = []
-    points: list[TurningPoint] = []
-    for t, x, kind in events:
-        if kind == "hit":
-            when = hit_at[t] = Fraction(t, q)
-            out.append(TraceEvent(when, HIGH if x else LOW, kind))
-            continue
-        when = hit_at.get(t)
-        if when is None:
-            when = Fraction(t, q)
-        where = Fraction(x, q)
-        out.append(TraceEvent(when, where, kind))
-        points.append(TurningPoint(when, where, hit_at[t - p]))
-    return SimTrace(tau, tuple(out), tuple(points))
 
 
 def run(

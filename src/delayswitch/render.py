@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .engine import Divergent, Outcome, Periodic, SimTrace, TraceEvent, Undetermined
+from .engine import Divergent, Outcome, SimTrace
 
 DEFAULT_WIDTH = 900
 DEFAULT_HEIGHT = 380
@@ -63,71 +63,49 @@ def fit_viewport(points, width: int, height: int) -> Viewport:
     return Viewport(width, height, t0, t1, x0, x1)
 
 
-def _event_points(trace) -> list[tuple[float, float]]:
+def _sim_trace(trace: Outcome | SimTrace) -> SimTrace:
+    return trace if isinstance(trace, SimTrace) else trace.trace
+
+
+def trajectory_vertices(trace: Outcome | SimTrace) -> list[tuple[float, float]]:
+    """Polyline vertices for an engine Outcome or SimTrace: every event
+    point, consecutive duplicates merged, plus the ray endpoint for
+    divergent outcomes.
+
+    Vertices are read off the scaled rows as T/q, X/q; int true division
+    rounds correctly, so they equal the floats of the Fraction events.
+    """
+    sim = _sim_trace(trace)
+    q = sim.tau.denominator
     points: list[tuple[float, float]] = []
-    for item in trace:
-        if isinstance(item, TraceEvent):
-            pt = (float(item.t), float(item.x))
-        else:
-            t, x = item
-            pt = (float(t), float(x))
+    for t, x, _ in sim.rows:
+        pt = (t / q, x / q)
         if not points or points[-1] != pt:  # hit+switch at one instant: one vertex
             points.append(pt)
-    return points
-
-
-def trajectory_vertices(trace) -> list[tuple[float, float]]:
-    """Polyline vertices for a trace: every event point, consecutive
-    duplicates merged, plus the ray endpoint for divergent outcomes.
-
-    Accepts an engine Outcome, a SimTrace, or a bare iterable of (t, x)
-    pairs / TraceEvents.
-    """
-    outcome: Outcome | None = None
-    if isinstance(trace, (Periodic, Divergent, Undetermined)):
-        outcome = trace
-        events = trace.trace.events
-    elif isinstance(trace, SimTrace):
-        events = trace.events
-    else:
-        events = list(trace)
-    points = _event_points(events)
     if not points:
         raise ValueError("empty trace")
-    if isinstance(outcome, Divergent):
+    if isinstance(trace, Divergent):
         t_last, x_last = points[-1]
         span = max(1.0, 0.1 * (t_last - points[0][0]))
-        points.append((t_last + span, x_last + outcome.direction * span))
+        points.append((t_last + span, x_last + trace.direction * span))
     return points
-
-
-def _is_divergent(trace) -> bool:
-    return isinstance(trace, Divergent)
-
-
-def _turning_points(trace):
-    if isinstance(trace, (Periodic, Divergent, Undetermined)):
-        return trace.trace.turning_points
-    if isinstance(trace, SimTrace):
-        return trace.turning_points
-    return ()
 
 
 def render_trajectory(
-    trace,
+    trace: Outcome | SimTrace,
     width: int = DEFAULT_WIDTH,
     height: int = DEFAULT_HEIGHT,
     label_indices=(),
     title: str | None = None,
 ) -> str:
-    """Render a trace as deterministic SVG text.
+    """Render an engine Outcome or SimTrace as deterministic SVG text.
 
     ``label_indices`` selects 1-based turning-point indices to annotate.
     Raises ValueError on an empty trace.
     """
     vertices = trajectory_vertices(trace)
     vp = fit_viewport(vertices, width, height)
-    divergent = _is_divergent(trace)
+    divergent = isinstance(trace, Divergent)
     lines: list[str] = []
     lines.append('<?xml version="1.0" encoding="UTF-8"?>')
     lines.append(
@@ -172,12 +150,13 @@ def render_trajectory(
         f'<polyline class="trajectory" points="{path}" '
         f'fill="none" stroke="#000000" stroke-width="1.5"{marker}/>'
     )
-    turning = _turning_points(trace)
+    sim = _sim_trace(trace)
+    q, turning = sim.tau.denominator, sim.switches if label_indices else []
     for j in label_indices:
         if not 1 <= j <= len(turning):
             continue
-        point = turning[j - 1]
-        px, py = vp.to_px(float(point.beta), float(point.alpha))
+        t, x = turning[j - 1]
+        px, py = vp.to_px(t / q, x / q)
         lines.append(
             f'<text x="{_fmt(px + 5.0)}" y="{_fmt(py - 6.0)}" '
             f'font-family="monospace" font-size="12">&#945;{j}</text>'

@@ -18,7 +18,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -45,6 +45,7 @@ class TheoremCheck:
     agree: bool
     reason: str  # "" when agreeing; else "horizon" | "behavior" | "switch_count" | "certificate"
     certificate_ok: bool | None  # None when not applicable / not requested
+    outcome: engine.Outcome | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -78,14 +79,14 @@ def periodicity_certificate(
     position, for every n in the reported cycle (m switchings per period).
     """
     i, m = outcome.start_switch, outcome.switchings_per_period
-    period = outcome.least_period
     trace = engine.simulate_switches(tau, i + 2 * m - 1, ic)
-    points = trace.turning_points
+    period = outcome.least_period * trace.tau.denominator  # in the trace's 1/q units
+    points = trace.switches
     if len(points) < i + 2 * m - 1:
         return False
     for n in range(i, i + m):
-        a, b = points[n - 1], points[n + m - 1]
-        if b.beta - a.beta != period or b.alpha != a.alpha:
+        (t_a, x_a), (t_b, x_b) = points[n - 1], points[n + m - 1]
+        if t_b - t_a != period or x_b != x_a:
             return False
     return True
 
@@ -120,7 +121,9 @@ def check_theorem(
             certificate_ok = periodicity_certificate(tau, outcome)
             if not certificate_ok:
                 agree, reason = False, "certificate"
-    return TheoremCheck(tau, prediction, behavior, switches, agree, reason, certificate_ok)
+    return TheoremCheck(
+        tau, prediction, behavior, switches, agree, reason, certificate_ok, outcome
+    )
 
 
 def check_closed_form(
@@ -137,24 +140,23 @@ def check_closed_form(
     tau = Fraction(tau)
     if not analysis.TAU_LOW <= tau < analysis.SUP:
         raise ValueError("check_closed_form requires tau in [4/3, 3/2)")
-    # Even j never fail below 3/2, and odd j = 2m+1 fails first where
-    # tau <= 4^m * (3 - 2*tau); with tau_k <= tau < tau_{k+1} that is m = k
-    # at tau_k and m = k+1 elsewhere, so J <= 2k+3.
-    horizon = analysis.horizon_J(tau, 2 * analysis._window_k(tau) + 3)
+    horizon = analysis.horizon_J(tau)
     outcome = engine.run(tau, max_switches=max_switches, max_time=max_time)
-    points = outcome.trace.turning_points
+    p, q = tau.numerator, tau.denominator
+    points = outcome.trace.switches  # (q*beta_j, q*alpha_j)
     mismatches: list[str] = []
     if len(points) < horizon:
         mismatches.append(f"trace has {len(points)} switchings, horizon is {horizon}")
     for j in range(1, min(horizon, len(points)) + 1):
-        point = points[j - 1]
-        if point.beta != analysis.beta_closed(j, tau):
+        t, x = points[j - 1]
+        a, b, c, d = analysis.closed_coefficients(j)
+        if t != a * p + b * q:
             mismatches.append(f"beta_{j}")
-        if point.alpha != analysis.alpha_closed(j, tau):
+        if x != c * p + d * q:
             mismatches.append(f"alpha_{j}")
     simulated_horizon: int | None = None
-    for j, point in enumerate(points, start=1):
-        holds = point.alpha > 1 if j % 2 else point.alpha < 1
+    for j, (_, x) in enumerate(points, start=1):
+        holds = x > q if j % 2 else x < q
         if not holds:
             simulated_horizon = j
             break

@@ -148,6 +148,29 @@ def test_horizon_near_limit():
     assert J > 2 * k + 1
 
 
+def _horizon_by_alpha_scan(tau, j_cap):
+    """The definition of J, scanned: the first j whose turning value breaks
+    the alternation alpha_j > 1 (odd j), alpha_j < 1 (even j)."""
+    for j in range(1, j_cap + 1):
+        a = alpha_closed(j, tau)
+        if not (a > 1 if j % 2 else a < 1):
+            return j
+    return float("inf")
+
+
+def test_horizon_J_matches_the_alpha_scan():
+    rng = random.Random(20100515)
+    for k in range(1, 41):
+        lo, hi = critical_value(CriticalKind.TAU, k), critical_value(CriticalKind.TAU, k + 1)
+        taus = [critical_value(kind, k) for kind in CriticalKind]
+        for _ in range(20):
+            q = rng.randrange(10**6, 10**12)
+            taus.append(lo + (hi - lo) * F(rng.randrange(1, q), q))
+        for tau in taus:
+            assert horizon_J(tau) == _horizon_by_alpha_scan(tau, 2 * k + 5), tau
+    assert horizon_J(rat_parse("1.4" + "9" * 70)) == 237  # k = 117, past the old j <= 200 scan
+
+
 def test_horizon_domain_and_cap():
     assert horizon_J(F(4, 3)) == 3  # alpha_3 = 1 exactly at tau_1
     with pytest.raises(ValueError):

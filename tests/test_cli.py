@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from delayswitch import engine
 from delayswitch.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -184,6 +185,24 @@ def test_verify_answers_large_k(capsys):
     assert code == 0
     assert "(k=117)" in out and "closed forms up to J=237: OK" in out
     assert out.endswith("VERDICT: OK\n")
+
+
+def test_verify_prints_the_outcome_check_theorem_simulated(capsys, monkeypatch):
+    # check_theorem's run, its certificate replay (periodic delays only) and
+    # check_closed_form's run; the printout reuses check_theorem's outcome
+    calls = []
+    simulate = engine._simulate
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return simulate(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "_simulate", counted)
+    for tau, simulations in (("147/100", 3), ("63/43", 2)):
+        calls.clear()
+        code, out, _ = run_cli(capsys, "verify", tau)
+        assert code == 0 and out.endswith("VERDICT: OK\n")
+        assert len(calls) == simulations, tau
 
 
 def test_max_time_flag_and_config_parse_alike(tmp_path, capsys):

@@ -18,7 +18,7 @@ from delayswitch.analysis import (
     critical_value,
     horizon_J,
 )
-from delayswitch.engine import Divergent, Periodic, run
+from delayswitch.engine import Divergent, Periodic, run, simulate_switches
 
 
 @st.composite
@@ -61,3 +61,16 @@ def test_engine_agrees_with_the_closed_forms(tau):
         assert abs(b.x - a.x) == b.t - a.t  # unit speed between events
     for point in points:
         assert point.beta - point.hit_time == tau
+
+
+@settings(max_examples=100, deadline=None)
+@given(window_delays(), st.integers(min_value=1, max_value=60))
+def test_fraction_views_equal_the_scaled_rows(tau, n_switches):
+    trace = simulate_switches(tau, n_switches)
+    q = tau.denominator
+    assert len(trace.events) == len(trace.rows)
+    for event, (t, x, kind) in zip(trace.events, trace.rows):
+        assert (event.t, event.x, event.kind) == (F(t, q), F(x, q), kind)
+    assert len(trace.turning_points) == len(trace.switches)
+    for point, (t, x) in zip(trace.turning_points, trace.switches):
+        assert (point.beta, point.alpha, point.hit_time) == (F(t, q), F(x, q), F(t, q) - tau)

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from delayswitch import engine
+from delayswitch.engine import SimTrace
 from delayswitch.render import (
     fit_viewport,
     render_trajectory,
@@ -19,7 +20,7 @@ def polyline_points(svg: str) -> list[str]:
 
 
 def test_single_segment_trace():
-    svg = render_trajectory([(0, 0), (1, 1)], width=300, height=200)
+    svg = render_trajectory(SimTrace(F(1), ((0, 0, "hit"), (1, 1, "hit"))), width=300, height=200)
     pts = polyline_points(svg)
     vp = fit_viewport([(0.0, 0.0), (1.0, 1.0)], 300, 200)
     assert pts == [vp.point_attr(0.0, 0.0), vp.point_attr(1.0, 1.0)]
@@ -27,7 +28,7 @@ def test_single_segment_trace():
 
 def test_empty_trace_rejected():
     with pytest.raises(ValueError):
-        render_trajectory([])
+        render_trajectory(SimTrace(F(1), ()))
 
 
 def test_byte_determinism():

@@ -12,6 +12,7 @@ import pytest
 
 from delayswitch import engine
 from delayswitch.analysis import CriticalKind, critical_value, horizon_J
+from delayswitch.render import render_trajectory
 from delayswitch.validate import (
     OracleRefusal,
     _advance,
@@ -77,6 +78,44 @@ def test_check_closed_form_cases():
     assert record.agree and record.horizon == 11
     record = check_closed_form(F(16, 11))
     assert record.agree and record.horizon == 5
+
+
+def test_checks_read_the_scaled_rows_without_building_views(monkeypatch):
+    def refuse(self):
+        raise AssertionError("Fraction views built")
+
+    monkeypatch.setattr(engine.SimTrace, "_views", property(refuse))
+    for tau in (F(63, 43), F(147, 100), F(16, 11)):
+        record = check_theorem(tau)
+        assert record.agree and record.certificate_ok is not False
+        assert check_closed_form(tau).agree
+        if isinstance(record.outcome, engine.Periodic):
+            assert periodicity_certificate(tau, record.outcome)
+        assert "&#945;3" in render_trajectory(record.outcome, label_indices=(1, 3))
+    with pytest.raises(AssertionError, match="views built"):
+        engine.run(F(16, 11)).trace.events
+
+
+def _move_switch(trace, j):
+    """The trace with switch j's scaled position moved by one unit."""
+    rows = list(trace.rows)
+    n = [i for i, row in enumerate(rows) if row[2] == "switch"][j - 1]
+    rows[n] = (rows[n][0], rows[n][1] + 1, "switch")
+    return engine.SimTrace(trace.tau, tuple(rows))
+
+
+def test_checks_catch_a_corrupted_trace(monkeypatch):
+    tau = F(147, 100)
+    honest = engine.run(tau)
+    i, m = honest.start_switch, honest.switchings_per_period
+    wrong_period = engine.Periodic(honest.least_period + F(1, 100), m, i, honest.trace)
+    assert not periodicity_certificate(tau, wrong_period)
+    replay = engine.simulate_switches(tau, i + 2 * m - 1)
+    monkeypatch.setattr(engine, "simulate_switches", lambda *a, **k: _move_switch(replay, i + m))
+    assert not periodicity_certificate(tau, honest)
+    corrupted = engine.Periodic(honest.least_period, m, i, _move_switch(honest.trace, 1))
+    monkeypatch.setattr(engine, "run", lambda *a, **k: corrupted)
+    assert "alpha_1" in check_closed_form(tau).mismatches
 
 
 def test_check_closed_form_horizon_beyond_j_200():
