@@ -41,20 +41,11 @@ from .engine import (
     simulate_switches,
     trace_records,
 )
-from .exact import (
-    Rat,
-    RatParseError,
-    rat_arith,
-    rat_cmp,
-    rat_format,
-    rat_parse,
-    rat_to_decimal,
-)
+from .exact import Rat, RatParseError, rat_format, rat_parse, rat_to_decimal
 from .render import fit_viewport, render_trajectory, trajectory_vertices
 from .validate import (
     ClosedFormCheck,
     OracleRefusal,
-    SweepEntry,
     SweepReport,
     TheoremCheck,
     check_closed_form,

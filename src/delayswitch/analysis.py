@@ -16,7 +16,6 @@ behavior together with the exact switching count.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -163,7 +162,7 @@ def alpha_closed(j: int, tau: Rat) -> Rat:
     return c * Fraction(tau) + d
 
 
-def horizon_J(tau: Rat, j_cap: int | None = None) -> int | float:
+def horizon_J(tau: Rat) -> int:
     """Validity horizon of the closed forms.
 
     The largest J such that alpha_j > 1 at every odd j < J and alpha_j < 1 at
@@ -171,16 +170,13 @@ def horizon_J(tau: Rat, j_cap: int | None = None) -> int | float:
     inequalities fail.  Defined for tau in [4/3, 3/2), where it is found in
     O(1): even j never fail below 3/2, and odd j = 2m+1 holds iff
     tau > tau_m, so with tau_k <= tau < tau_{k+1} J is 2k+1 at tau_k and
-    2k+3 elsewhere.  Returns ``math.inf`` when J exceeds ``j_cap``.
+    2k+3 elsewhere.
     """
     if not TAU_LOW <= tau < SUP:
         raise ValueError("horizon_J requires tau in [4/3, 3/2)")
-    if j_cap is not None and j_cap < 1:
-        raise ValueError("j_cap must be >= 1")
     tau = Fraction(tau)
     k = _window_k(tau)
-    J = 2 * k + 1 if tau == critical_value(CriticalKind.TAU, k) else 2 * k + 3
-    return math.inf if j_cap is not None and J > j_cap else J
+    return 2 * k + 1 if tau == critical_value(CriticalKind.TAU, k) else 2 * k + 3
 
 
 _OUT_OF_RANGE = Prediction(Regime(RegimeKind.OUT_OF_RANGE), None, None)

@@ -217,8 +217,9 @@ def _cmd_sweep(args, config) -> int:
 def _cmd_verify(args, config) -> int:
     tau = rat_parse(args.tau)
     max_switches, max_time = _limits(args, config)
-    theorem = validate.check_theorem(tau, max_switches, max_time)
-    closed = validate.check_closed_form(tau, max_switches, max_time)
+    outcome = engine.run(tau, max_switches=max_switches, max_time=max_time)
+    theorem = validate.check_theorem(tau, outcome)
+    closed = validate.check_closed_form(tau, outcome)
     prediction = theorem.prediction
     print(f"tau = {rat_format(tau)} ({_dec(tau)})")
     print(
@@ -234,7 +235,6 @@ def _cmd_verify(args, config) -> int:
         print(f"period certificate: {'OK' if theorem.certificate_ok else 'FAIL'}")
     closed_msg = "OK" if closed.agree else "FAIL (" + "; ".join(closed.mismatches) + ")"
     print(f"closed forms up to J={closed.horizon}: {closed_msg}")
-    outcome = theorem.outcome
     if isinstance(outcome, engine.Periodic):
         print(
             f"least period {rat_format(outcome.least_period)} "

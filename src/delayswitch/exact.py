@@ -3,13 +3,14 @@
 Every quantity the package reports (the delay, event times, positions,
 switch coordinates) is an exact rational.  The engine's event loop runs on
 plain integers scaled by the delay's denominator q (all its quantities lie
-in (1/q)*Z) and converts to ``Rat`` once, when a run ends.  ``Rat`` is
-:class:`fractions.Fraction`, which already provides the canonical form the
-rest of the package relies on: positive denominator, numerator and
-denominator coprime, unbounded integers, exact total order.  This module adds
-the strict text round-trip used by the CLI and the file formats ("p/q" or a
-finite decimal in, "p/q" out) and correctly rounded decimal companions for
-human-readable output.  Core logic never consumes the decimal strings.
+in (1/q)*Z); a trace keeps those rows and builds its ``Rat`` views when
+they are first read.  ``Rat`` is :class:`fractions.Fraction`, which already
+provides the canonical form the rest of the package relies on: positive
+denominator, numerator and denominator coprime, unbounded integers, exact
+total order.  This module adds the strict text round-trip used by the CLI
+and the file formats ("p/q" or a finite decimal in, "p/q" out) and
+correctly rounded decimal companions for human-readable output.  Core
+logic never consumes the decimal strings.
 """
 
 from __future__ import annotations
@@ -22,8 +23,6 @@ Rat = Fraction
 _INT_RE = re.compile(r"[+-]?\d+\Z")
 _RATIO_RE = re.compile(r"(?P<num>[+-]?\d+)/(?P<den>\d+)\Z")
 _DECIMAL_RE = re.compile(r"(?P<sign>[+-]?)(?P<int>\d*)\.(?P<frac>\d*)\Z")
-
-_OP_ALIASES = {"−": "-", "×": "*", "·": "*", "÷": "/"}
 
 
 class RatParseError(ValueError):
@@ -60,31 +59,6 @@ def rat_format(a: Rat) -> str:
     if a.denominator == 1:
         return str(a.numerator)
     return f"{a.numerator}/{a.denominator}"
-
-
-def rat_arith(a: Rat, b: Rat, op: str) -> Rat:
-    """Apply one of ``+ - * /`` (the glyphs − × · ÷ are accepted as aliases)."""
-    op = _OP_ALIASES.get(op, op)
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if op == "/":
-        if b == 0:
-            raise ZeroDivisionError("rational division by zero")
-        return a / b
-    raise ValueError(f"unknown operator {op!r}")
-
-
-def rat_cmp(a: Rat, b: Rat) -> int:
-    """Exact three-way comparison: -1 if a < b, 0 if equal, +1 if a > b."""
-    if a < b:
-        return -1
-    if a > b:
-        return 1
-    return 0
 
 
 def rat_to_decimal(a: Rat, digits: int) -> str:

@@ -2,10 +2,13 @@
 
 Three independent routes to the same answers are compared here: the exact
 event simulation (engine), the closed-form predictions (analysis), and a
-deliberately low-tech fixed-step floating-point simulation.  ``sweep`` runs
-the classifier-vs-simulator comparison over every regime up to a chosen k
-and serializes the result as CSV or JSON; disagreements are report rows,
-never aborts.
+deliberately low-tech fixed-step floating-point simulation.  The exact
+checks read one engine outcome: the caller that owns the limits runs
+``engine.run`` once and hands the outcome to every check (a check given a
+bare tau runs it with the default limits).  ``sweep`` runs the
+classifier-vs-simulator comparison over every regime up to a chosen k and
+serializes the result as CSV or JSON; disagreements are report rows, never
+aborts.
 
 Only the float oracle uses numpy, and it imports numpy on its first call,
 so importing the package and every exact check run without loading it.
@@ -18,7 +21,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -45,7 +48,6 @@ class TheoremCheck:
     agree: bool
     reason: str  # "" when agreeing; else "horizon" | "behavior" | "switch_count" | "certificate"
     certificate_ok: bool | None  # None when not applicable / not requested
-    outcome: engine.Outcome | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -68,18 +70,25 @@ def _simulated_behavior(outcome: engine.Outcome) -> tuple[str, int | None]:
     return label, None
 
 
-def periodicity_certificate(
-    tau: Rat,
-    outcome: engine.Periodic,
-    ic: engine.InitialCondition | None = None,
-) -> bool:
+def _outcome_of(tau: Rat, outcome: engine.Outcome | None) -> engine.Outcome:
+    """The outcome a check reads: the given one, else a run with the default limits."""
+    if outcome is None:
+        return engine.run(tau)
+    if outcome.trace.tau != tau:
+        raise ValueError(
+            f"outcome simulates tau = {rat_format(outcome.trace.tau)}, not {rat_format(tau)}"
+        )
+    return outcome
+
+
+def periodicity_certificate(outcome: engine.Periodic) -> bool:
     """Replay one extra period and confirm the switch sequence repeats.
 
     Switch n + m must occur exactly least_period after switch n with the same
     position, for every n in the reported cycle (m switchings per period).
     """
     i, m = outcome.start_switch, outcome.switchings_per_period
-    trace = engine.simulate_switches(tau, i + 2 * m - 1, ic)
+    trace = engine.simulate_switches(outcome.trace.tau, i + 2 * m - 1)
     period = outcome.least_period * trace.tau.denominator  # in the trace's 1/q units
     points = trace.switches
     if len(points) < i + 2 * m - 1:
@@ -92,21 +101,19 @@ def periodicity_certificate(
 
 
 def check_theorem(
-    tau: Rat,
-    max_switches: int = engine.DEFAULT_MAX_SWITCHES,
-    max_time: Rat = engine.DEFAULT_MAX_TIME,
-    certify: bool = True,
+    tau: Rat, outcome: engine.Outcome | None = None, certify: bool = True
 ) -> TheoremCheck:
     """Compare the classifier's prediction with an exact simulation of tau.
 
-    Behavior kind and switch count must match exactly; for periodic outcomes
-    the period certificate is confirmed as well (unless certify=False).
-    An Undetermined simulation is a disagreement with reason "horizon".
+    ``outcome`` is that simulation (``engine.run(tau)`` when None).  Behavior
+    kind and switch count must match exactly; for periodic outcomes the
+    period certificate is confirmed as well (unless certify=False).  An
+    Undetermined simulation is a disagreement with reason "horizon".
     """
     prediction = analysis.classify(tau)
     if prediction.regime.kind is RegimeKind.OUT_OF_RANGE:
         raise ValueError("check_theorem requires tau in [4/3, 3/2)")
-    outcome = engine.run(tau, max_switches=max_switches, max_time=max_time)
+    outcome = _outcome_of(tau, outcome)
     behavior, switches = _simulated_behavior(outcome)
     certificate_ok: bool | None = None
     if isinstance(outcome, engine.Undetermined):
@@ -118,21 +125,16 @@ def check_theorem(
     else:
         agree, reason = True, ""
         if certify and isinstance(outcome, engine.Periodic):
-            certificate_ok = periodicity_certificate(tau, outcome)
+            certificate_ok = periodicity_certificate(outcome)
             if not certificate_ok:
                 agree, reason = False, "certificate"
-    return TheoremCheck(
-        tau, prediction, behavior, switches, agree, reason, certificate_ok, outcome
-    )
+    return TheoremCheck(tau, prediction, behavior, switches, agree, reason, certificate_ok)
 
 
-def check_closed_form(
-    tau: Rat,
-    max_switches: int = engine.DEFAULT_MAX_SWITCHES,
-    max_time: Rat = engine.DEFAULT_MAX_TIME,
-) -> ClosedFormCheck:
+def check_closed_form(tau: Rat, outcome: engine.Outcome | None = None) -> ClosedFormCheck:
     """Confirm simulated switch data equals the closed forms up to the horizon.
 
+    ``outcome`` is the simulation of tau (``engine.run(tau)`` when None).
     For every j <= J the simulated beta_j and alpha_j must equal beta_closed
     and alpha_closed exactly, and the first index at which the simulated
     turning values violate the alternating inequalities must be J itself.
@@ -141,7 +143,7 @@ def check_closed_form(
     if not analysis.TAU_LOW <= tau < analysis.SUP:
         raise ValueError("check_closed_form requires tau in [4/3, 3/2)")
     horizon = analysis.horizon_J(tau)
-    outcome = engine.run(tau, max_switches=max_switches, max_time=max_time)
+    outcome = _outcome_of(tau, outcome)
     p, q = tau.numerator, tau.denominator
     points = outcome.trace.switches  # (q*beta_j, q*alpha_j)
     mismatches: list[str] = []
@@ -322,19 +324,10 @@ def _advance(s: float, c: float, n: int) -> float:
 
 
 @dataclass(frozen=True)
-class SweepEntry:
-    tau: Rat
-    prediction: Prediction
-    simulated_behavior: str
-    simulated_switches: int | None
-    agree: bool
-
-
-@dataclass(frozen=True)
 class SweepReport:
     k_max: int
     samples_per_interval: int
-    entries: tuple[SweepEntry, ...]
+    entries: tuple[TheoremCheck, ...]
 
     @property
     def agreements(self) -> int:
@@ -434,16 +427,8 @@ def sweep(
     Entries are reported in increasing tau order; disagreements are rows,
     not errors, so a sweep always completes.
     """
-    entries = []
-    for tau in sweep_taus(k_max, samples_per_interval):
-        record = check_theorem(tau, max_switches, max_time, certify=False)
-        entries.append(
-            SweepEntry(
-                tau=tau,
-                prediction=record.prediction,
-                simulated_behavior=record.simulated_behavior,
-                simulated_switches=record.simulated_switches,
-                agree=record.agree,
-            )
-        )
-    return SweepReport(k_max, samples_per_interval, tuple(entries))
+    entries = tuple(
+        check_theorem(tau, engine.run(tau, None, max_switches, max_time), certify=False)
+        for tau in sweep_taus(k_max, samples_per_interval)
+    )
+    return SweepReport(k_max, samples_per_interval, entries)

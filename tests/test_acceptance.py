@@ -184,7 +184,7 @@ def test_criterion_08_periodicity_certificates():
                     continue
                 outcome = cached_run(tau)
                 assert isinstance(outcome, engine.Periodic)
-                assert validate.periodicity_certificate(tau, outcome), tau
+                assert validate.periodicity_certificate(outcome), tau
                 certified += 1
         assert certified == 24
 

@@ -187,9 +187,9 @@ def test_verify_answers_large_k(capsys):
     assert out.endswith("VERDICT: OK\n")
 
 
-def test_verify_prints_the_outcome_check_theorem_simulated(capsys, monkeypatch):
-    # check_theorem's run, its certificate replay (periodic delays only) and
-    # check_closed_form's run; the printout reuses check_theorem's outcome
+def test_verify_simulates_a_periodic_delay_twice_and_a_divergent_one_once(capsys, monkeypatch):
+    # one run feeds both checks and the printout; periodic delays add the
+    # certificate replay
     calls = []
     simulate = engine._simulate
 
@@ -198,7 +198,7 @@ def test_verify_prints_the_outcome_check_theorem_simulated(capsys, monkeypatch):
         return simulate(*args, **kwargs)
 
     monkeypatch.setattr(engine, "_simulate", counted)
-    for tau, simulations in (("147/100", 3), ("63/43", 2)):
+    for tau, simulations in (("147/100", 2), ("63/43", 1)):
         calls.clear()
         code, out, _ = run_cli(capsys, "verify", tau)
         assert code == 0 and out.endswith("VERDICT: OK\n")

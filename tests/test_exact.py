@@ -4,14 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from delayswitch.exact import (
-    RatParseError,
-    rat_arith,
-    rat_cmp,
-    rat_format,
-    rat_parse,
-    rat_to_decimal,
-)
+from delayswitch.exact import RatParseError, rat_format, rat_parse, rat_to_decimal
 
 
 class PairRat:
@@ -80,31 +73,6 @@ def test_parse_rejects_garbage():
             rat_parse(bad)
     with pytest.raises(RatParseError, match="zero denominator"):
         rat_parse("1/0")
-
-
-def test_arith_examples():
-    assert rat_arith(F(4, 3), F(1), "-") == F(1, 3)
-    assert rat_arith(F(2), F(63, 43), "*") - 3 == F(-3, 43)
-    assert rat_arith(F(1), F(3), "/") == F(1, 3)
-    assert rat_arith(F(1, 2), F(1, 3), "+") == F(5, 6)
-    # unicode operator aliases
-    assert rat_arith(F(4, 3), F(1), "−") == F(1, 3)
-    assert rat_arith(F(2), F(3), "×") == F(6)
-
-
-def test_arith_division_by_zero():
-    with pytest.raises(ZeroDivisionError):
-        rat_arith(F(1), F(0), "/")
-    with pytest.raises(ValueError):
-        rat_arith(F(1), F(2), "%")
-
-
-def test_cmp_is_exact():
-    assert rat_cmp(F(15, 11), F(7, 5)) == -1  # theta_1 < zeta_1
-    assert rat_cmp(F(2, 3), F(2, 3)) == 0
-    assert rat_cmp(F(7, 5), F(15, 11)) == 1
-    # a case float comparison would get wrong
-    assert rat_cmp(F(10**40 + 1, 10**40), F(1)) == 1
 
 
 def test_to_decimal():

@@ -51,7 +51,7 @@ def test_check_theorem_theta_1_and_zeta_2():
 
 
 def test_check_theorem_horizon_reason():
-    record = check_theorem(F(89, 66), max_switches=3)
+    record = check_theorem(F(89, 66), engine.run(F(89, 66), max_switches=3))
     assert not record.agree
     assert record.reason == "horizon"
     assert record.simulated_behavior == "undetermined"
@@ -64,9 +64,9 @@ def test_check_theorem_out_of_range():
 
 def test_periodicity_certificate():
     outcome = engine.run(F(4, 3))
-    assert periodicity_certificate(F(4, 3), outcome)
+    assert periodicity_certificate(outcome)
     outcome = engine.run(F(147, 100))
-    assert periodicity_certificate(F(147, 100), outcome)
+    assert periodicity_certificate(outcome)
 
 
 def test_check_closed_form_cases():
@@ -86,12 +86,13 @@ def test_checks_read_the_scaled_rows_without_building_views(monkeypatch):
 
     monkeypatch.setattr(engine.SimTrace, "_views", property(refuse))
     for tau in (F(63, 43), F(147, 100), F(16, 11)):
-        record = check_theorem(tau)
+        outcome = engine.run(tau)
+        record = check_theorem(tau, outcome)
         assert record.agree and record.certificate_ok is not False
-        assert check_closed_form(tau).agree
-        if isinstance(record.outcome, engine.Periodic):
-            assert periodicity_certificate(tau, record.outcome)
-        assert "&#945;3" in render_trajectory(record.outcome, label_indices=(1, 3))
+        assert check_closed_form(tau, outcome).agree
+        if isinstance(outcome, engine.Periodic):
+            assert periodicity_certificate(outcome)
+        assert "&#945;3" in render_trajectory(outcome, label_indices=(1, 3))
     with pytest.raises(AssertionError, match="views built"):
         engine.run(F(16, 11)).trace.events
 
@@ -109,13 +110,46 @@ def test_checks_catch_a_corrupted_trace(monkeypatch):
     honest = engine.run(tau)
     i, m = honest.start_switch, honest.switchings_per_period
     wrong_period = engine.Periodic(honest.least_period + F(1, 100), m, i, honest.trace)
-    assert not periodicity_certificate(tau, wrong_period)
+    assert not periodicity_certificate(wrong_period)
     replay = engine.simulate_switches(tau, i + 2 * m - 1)
     monkeypatch.setattr(engine, "simulate_switches", lambda *a, **k: _move_switch(replay, i + m))
-    assert not periodicity_certificate(tau, honest)
+    assert not periodicity_certificate(honest)
     corrupted = engine.Periodic(honest.least_period, m, i, _move_switch(honest.trace, 1))
-    monkeypatch.setattr(engine, "run", lambda *a, **k: corrupted)
-    assert "alpha_1" in check_closed_form(tau).mismatches
+    assert "alpha_1" in check_closed_form(tau, corrupted).mismatches
+
+
+def test_checks_given_an_outcome_do_not_simulate(monkeypatch):
+    outcomes = {tau: engine.run(tau) for tau in sweep_taus(6, 3)}
+    expected = {
+        tau: (check_theorem(tau, certify=False), check_closed_form(tau)) for tau in outcomes
+    }
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("simulated again")
+
+    monkeypatch.setattr(engine, "_simulate", refuse)
+    for tau, outcome in outcomes.items():
+        given = (check_theorem(tau, outcome, certify=False), check_closed_form(tau, outcome))
+        assert given == expected[tau], tau
+
+
+def test_checks_refuse_an_outcome_of_another_delay():
+    outcome = engine.run(F(147, 100))
+    for check in (check_theorem, check_closed_form):
+        with pytest.raises(ValueError, match="not 16/11"):
+            check(F(16, 11), outcome)
+
+
+def test_sweep_keeps_no_traces():
+    tracemalloc.start()
+    try:
+        report = sweep(30, 3)
+        current = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert report.all_agree
+    # the records alone; rows that kept their outcomes would hold about 4 MB
+    assert current < 2**20
 
 
 def test_check_closed_form_horizon_beyond_j_200():
@@ -129,7 +163,7 @@ def test_check_closed_form_horizon_beyond_j_200():
             record = check_closed_form(tau)
             assert record.agree, record.mismatches
             assert record.horizon == record.simulated_horizon == horizon
-            assert horizon_J(tau, 10 * k) == horizon
+            assert horizon_J(tau) == horizon
     with pytest.raises(ValueError):
         check_closed_form(F(3, 2))
 
