@@ -2,13 +2,13 @@
 
 The system: x'(t) is +1 or -1 and toggles at every instant t where the
 delayed position x(t - tau) lies in the critical set {0, 1}; simulation
-starts on the rising branch from x(0) = 0 after a history that stays clear
-of {0, 1} before time zero.  All core arithmetic is exact (the engine runs
-on integers scaled by the delay's denominator), so the critical delays
-(where long-run behavior changes discontinuously) classify exactly.  The
-package provides the closed-form regime classifier, the exact event-driven
-engine with period and divergence detection, cross-validation (including a
-fixed-step floating-point oracle), and an SVG trajectory renderer.
+starts on the rising branch from x(0) = 0.  All core arithmetic is exact
+(the engine runs on integers scaled by the delay's denominator), so the
+critical delays (where long-run behavior changes discontinuously) classify
+exactly.  The package provides the closed-form regime classifier, the exact
+event-driven engine with period and divergence detection, cross-validation
+(including a fixed-step floating-point oracle), and an SVG trajectory
+renderer.
 """
 
 from .analysis import (
@@ -28,8 +28,6 @@ from .analysis import (
 )
 from .engine import (
     Divergent,
-    InitialCondition,
-    InvalidInitialCondition,
     Outcome,
     Periodic,
     SimTrace,
@@ -42,7 +40,7 @@ from .engine import (
     trace_records,
 )
 from .exact import Rat, RatParseError, rat_format, rat_parse, rat_to_decimal
-from .render import fit_viewport, render_trajectory, trajectory_vertices
+from .render import render_trajectory
 from .validate import (
     ClosedFormCheck,
     OracleRefusal,

@@ -135,14 +135,7 @@ def _cmd_classify(args, config) -> int:
 def _cmd_simulate(args, config) -> int:
     tau = rat_parse(args.tau)
     max_switches, max_time = _limits(args, config)
-    ic = None
-    if args.ic:
-        with open(args.ic, encoding="utf-8") as fh:
-            pairs = json.load(fh)
-        ic = engine.InitialCondition.from_pairs(
-            [(rat_parse(str(t)), rat_parse(str(x))) for t, x in pairs]
-        )
-    outcome = engine.run(tau, ic, max_switches=max_switches, max_time=max_time)
+    outcome = engine.run(tau, max_switches=max_switches, max_time=max_time)
     doc = _outcome_doc(tau, outcome)
     if args.trace:
         trace_doc = {
@@ -295,7 +288,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-switches", type=int, default=None)
     p.add_argument("--max-time", default=None, help='time limit, "p/q" or decimal')
     p.add_argument("--trace", help="write the full event trace to this JSON file")
-    p.add_argument("--ic", help="JSON file of [t, x] breakpoint pairs for the history")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("critical", help="table of critical delays")
@@ -349,8 +341,6 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args, config)
     except RatParseError as exc:
         return _fail(str(exc), EXIT_USAGE)
-    except engine.InvalidInitialCondition as exc:
-        return _fail(f"invalid initial condition: {exc}", EXIT_USAGE)
     except ValueError as exc:
         return _fail(str(exc), EXIT_USAGE)
     except OSError as exc:

@@ -14,8 +14,10 @@ The complete Markov state is (slope, position, pending switch offsets):
 exact recurrence of that state across two switch instants certifies
 periodicity, and an empty pending queue while the path moves away from both
 boundaries certifies divergence.  Simulation starts on the rising branch
-from x(0) = 0 after a history on [-tau, 0] that stays clear of {0, 1}
-before time zero, so the only inherited event is the hit at t = 0.
+from x(0) = 0.  As in the paper, the history on [-tau, 0] stays clear of
+{0, 1} before time zero; every such history then yields the same solution,
+because the only inherited event is the hit at t = 0, so the engine takes
+no history.
 """
 
 from __future__ import annotations
@@ -32,51 +34,6 @@ HIGH = Fraction(1)
 
 DEFAULT_MAX_SWITCHES = 10_000
 DEFAULT_MAX_TIME = Fraction(10_000)
-
-
-class InvalidInitialCondition(ValueError):
-    """History that touches {0, 1} before t = 0, or is malformed."""
-
-
-@dataclass(frozen=True)
-class InitialCondition:
-    """Continuous piecewise-linear history on [-tau, 0], given by breakpoints.
-
-    The first breakpoint sits at t = -tau, the last must be (0, 0), and no
-    segment may touch or cross 0 or 1 before time zero.  Only the arrival at
-    (0, 0) matters for the future (the invariants forbid earlier hits), but
-    the shape is validated so that invalid problem statements are rejected.
-    """
-
-    breakpoints: tuple[tuple[Rat, Rat], ...]
-
-    @staticmethod
-    def canonical(tau: Rat) -> "InitialCondition":
-        """The two-point history {(-tau, -tau), (0, 0)}: slope +1 arrival."""
-        return InitialCondition(((-tau, -tau), (LOW, LOW)))
-
-    @staticmethod
-    def from_pairs(pairs) -> "InitialCondition":
-        return InitialCondition(tuple((Fraction(t), Fraction(x)) for t, x in pairs))
-
-    def validate(self, tau: Rat) -> None:
-        pts = self.breakpoints
-        if len(pts) < 2:
-            raise InvalidInitialCondition("need at least two breakpoints")
-        if pts[0][0] != -tau:
-            raise InvalidInitialCondition(f"history must start at t = -tau = {-tau}")
-        if pts[-1][0] != 0 or pts[-1][1] != 0:
-            raise InvalidInitialCondition("history must end at (0, 0)")
-        for (t0, x0), (t1, x1) in zip(pts, pts[1:]):
-            if t1 <= t0:
-                raise InvalidInitialCondition("breakpoint times must be increasing")
-            for y in (LOW, HIGH):
-                if x0 == y:
-                    raise InvalidInitialCondition(f"history touches {y} at t = {t0}")
-                if x1 == y and t1 != 0:
-                    raise InvalidInitialCondition(f"history touches {y} at t = {t1}")
-                if min(x0, x1) < y < max(x0, x1):
-                    raise InvalidInitialCondition(f"history crosses {y} before t = 0")
 
 
 @dataclass(frozen=True, slots=True)
@@ -182,7 +139,6 @@ Outcome = Periodic | Divergent | Undetermined
 
 def _simulate(
     tau: Rat,
-    ic: InitialCondition | None,
     max_switches: int,
     max_time: Rat,
     detect_period: bool,
@@ -204,9 +160,6 @@ def _simulate(
     if tau <= 0:
         raise ValueError("tau must be positive")
     tau = Fraction(tau)
-    if ic is None:
-        ic = InitialCondition.canonical(tau)
-    ic.validate(tau)  # the history forces exactly one inherited hit, at t = 0
     p, q = tau.numerator, tau.denominator
     max_time = Fraction(max_time)
     # T * den >= num * q  <=>  T >= ceil(num * q / den), T being an int
@@ -272,7 +225,6 @@ def _simulate(
 
 def run(
     tau: Rat,
-    ic: InitialCondition | None = None,
     max_switches: int = DEFAULT_MAX_SWITCHES,
     max_time: Rat = DEFAULT_MAX_TIME,
 ) -> Outcome:
@@ -284,13 +236,12 @@ def run(
     """
     if max_switches <= 0 or max_time <= 0:
         raise ValueError("limits must be positive")
-    return _simulate(tau, ic, max_switches, max_time, detect_period=True)
+    return _simulate(tau, max_switches, max_time, detect_period=True)
 
 
 def simulate_switches(
     tau: Rat,
     n_switches: int,
-    ic: InitialCondition | None = None,
     max_time: Rat = 10 * DEFAULT_MAX_TIME,
 ) -> SimTrace:
     """Advance through n_switches switchings with recurrence detection off.
@@ -299,7 +250,7 @@ def simulate_switches(
     Stops early only on divergence or the time cap; callers inspect the
     trace length.
     """
-    return _simulate(tau, ic, n_switches, max_time, detect_period=False).trace
+    return _simulate(tau, n_switches, max_time, detect_period=False).trace
 
 
 def behavior_label(outcome: Outcome) -> str:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .engine import Divergent, Outcome, SimTrace
+from .engine import Divergent, Outcome
 
 DEFAULT_WIDTH = 900
 DEFAULT_HEIGHT = 380
@@ -52,7 +52,7 @@ class Viewport:
         return f"{_fmt(px)},{_fmt(py)}"
 
 
-def fit_viewport(points, width: int, height: int) -> Viewport:
+def _viewport(points, width: int, height: int) -> Viewport:
     """Viewport covering all points plus the two guide levels 0 and 1."""
     ts = [p[0] for p in points]
     xs = [p[1] for p in points] + [0.0, 1.0]
@@ -63,19 +63,15 @@ def fit_viewport(points, width: int, height: int) -> Viewport:
     return Viewport(width, height, t0, t1, x0, x1)
 
 
-def _sim_trace(trace: Outcome | SimTrace) -> SimTrace:
-    return trace if isinstance(trace, SimTrace) else trace.trace
-
-
-def trajectory_vertices(trace: Outcome | SimTrace) -> list[tuple[float, float]]:
-    """Polyline vertices for an engine Outcome or SimTrace: every event
-    point, consecutive duplicates merged, plus the ray endpoint for
-    divergent outcomes.
+def _vertices(outcome: Outcome) -> list[tuple[float, float]]:
+    """Polyline vertices of an engine Outcome: every event point,
+    consecutive duplicates merged, plus the ray endpoint for divergent
+    outcomes.
 
     Vertices are read off the scaled rows as T/q, X/q; int true division
     rounds correctly, so they equal the floats of the Fraction events.
     """
-    sim = _sim_trace(trace)
+    sim = outcome.trace
     q = sim.tau.denominator
     points: list[tuple[float, float]] = []
     for t, x, _ in sim.rows:
@@ -84,28 +80,35 @@ def trajectory_vertices(trace: Outcome | SimTrace) -> list[tuple[float, float]]:
             points.append(pt)
     if not points:
         raise ValueError("empty trace")
-    if isinstance(trace, Divergent):
+    if isinstance(outcome, Divergent):
         t_last, x_last = points[-1]
         span = max(1.0, 0.1 * (t_last - points[0][0]))
-        points.append((t_last + span, x_last + trace.direction * span))
+        points.append((t_last + span, x_last + outcome.direction * span))
     return points
 
 
 def render_trajectory(
-    trace: Outcome | SimTrace,
+    outcome: Outcome,
     width: int = DEFAULT_WIDTH,
     height: int = DEFAULT_HEIGHT,
     label_indices=(),
     title: str | None = None,
 ) -> str:
-    """Render an engine Outcome or SimTrace as deterministic SVG text.
+    """Render an engine Outcome as deterministic SVG text.
 
     ``label_indices`` selects 1-based turning-point indices to annotate.
-    Raises ValueError on an empty trace.
+    Raises ValueError on an empty trace, on a width or height of at most
+    twice the margin, and on a label index outside the turning points.
     """
-    vertices = trajectory_vertices(trace)
-    vp = fit_viewport(vertices, width, height)
-    divergent = isinstance(trace, Divergent)
+    if min(width, height) <= 2 * _PAD:
+        raise ValueError(f"width and height must exceed {2 * _PAD:.0f} px")
+    turning = outcome.trace.switches if label_indices else []
+    for j in label_indices:
+        if not 1 <= j <= len(turning):
+            raise ValueError(f"label index {j} is outside 1..{len(turning)}")
+    vertices = _vertices(outcome)
+    vp = _viewport(vertices, width, height)
+    divergent = isinstance(outcome, Divergent)
     lines: list[str] = []
     lines.append('<?xml version="1.0" encoding="UTF-8"?>')
     lines.append(
@@ -150,11 +153,8 @@ def render_trajectory(
         f'<polyline class="trajectory" points="{path}" '
         f'fill="none" stroke="#000000" stroke-width="1.5"{marker}/>'
     )
-    sim = _sim_trace(trace)
-    q, turning = sim.tau.denominator, sim.switches if label_indices else []
+    q = outcome.trace.tau.denominator
     for j in label_indices:
-        if not 1 <= j <= len(turning):
-            continue
         t, x = turning[j - 1]
         px, py = vp.to_px(t / q, x / q)
         lines.append(

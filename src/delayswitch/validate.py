@@ -428,7 +428,7 @@ def sweep(
     not errors, so a sweep always completes.
     """
     entries = tuple(
-        check_theorem(tau, engine.run(tau, None, max_switches, max_time), certify=False)
+        check_theorem(tau, engine.run(tau, max_switches, max_time), certify=False)
         for tau in sweep_taus(k_max, samples_per_interval)
     )
     return SweepReport(k_max, samples_per_interval, entries)

@@ -213,6 +213,6 @@ def test_criterion_10_render_determinism_and_vertices():
         start = first.index(marker) + len(marker)
         path = first[start : first.index('"', start)]
         vertex_set = set(path.split())
-        vp = render.fit_viewport(render.trajectory_vertices(outcome), 900, 380)
+        vp = render._viewport(render._vertices(outcome), 900, 380)
         for point in outcome.turning_points:
             assert vp.point_attr(float(point.beta), float(point.alpha)) in vertex_set

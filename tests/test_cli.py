@@ -106,16 +106,10 @@ def test_simulate_trace_file(tmp_path, capsys):
     assert kinds == {"hit", "switch"}
 
 
-def test_simulate_custom_ic(tmp_path, capsys):
-    ic_path = tmp_path / "ic.json"
-    ic_path.write_text(json.dumps([["-89/66", "-89/66"], ["-1/2", "-1/4"], ["0", "0"]]))
-    code, out, _ = run_cli(capsys, "simulate", "89/66", "--ic", str(ic_path))
-    assert code == 0
-    assert json.loads(out)["switchings_per_period"] == 6
-
-    ic_path.write_text(json.dumps([["-89/66", "-89/66"], ["-1/2", "1"], ["0", "0"]]))
-    code, _, err = run_cli(capsys, "simulate", "89/66", "--ic", str(ic_path))
-    assert code == 2 and "initial condition" in err
+def test_simulate_custom_ic(capsys):
+    # every admissible history gives the same solution, so there is no --ic
+    code, _, err = run_cli(capsys, "simulate", "89/66", "--ic", "ic.json")
+    assert code == 2 and "--ic" in err
 
 
 def test_critical_table(capsys):
@@ -241,6 +235,26 @@ def test_render_io_failure(tmp_path, capsys):
     target = tmp_path / "missing-dir" / "fig.svg"
     code, _, err = run_cli(capsys, "render", "64/43", "--out", str(target))
     assert code == 4
+
+
+def test_render_refuses_sizes_without_a_plot_area(tmp_path, capsys):
+    for flag, value in (("--width", "-50"), ("--height", "96")):
+        code, out, err = run_cli(capsys, "render", "4/3", flag, value)
+        assert code == 2 and out == "" and "width and height" in err
+    config = tmp_path / "small.conf"
+    config.write_text("width = 40\n")
+    code, _, err = run_cli(capsys, "--config", str(config), "render", "4/3")
+    assert code == 2 and "width and height" in err
+    code, out, _ = run_cli(capsys, "render", "4/3", "--width", "97")
+    assert code == 0 and 'width="97"' in out
+
+
+def test_render_refuses_label_indices_outside_the_turning_points(capsys):
+    for labels in ("0", "99", "1,8"):  # 4/3 has 7 turning points
+        code, out, err = run_cli(capsys, "render", "4/3", "--labels", labels)
+        assert code == 2 and out == "" and "label index" in err
+    code, out, _ = run_cli(capsys, "render", "4/3", "--labels", "1,7")
+    assert code == 0 and "&#945;7" in out
 
 
 def test_config_defaults_and_override(tmp_path, capsys):

@@ -6,8 +6,6 @@ import pytest
 from delayswitch.analysis import alpha_closed, beta_closed, horizon_J
 from delayswitch.engine import (
     Divergent,
-    InitialCondition,
-    InvalidInitialCondition,
     Periodic,
     TraceEvent,
     Undetermined,
@@ -25,56 +23,16 @@ def random_tau_in_window(rng: random.Random) -> F:
     return F(rng.randint(lo, hi), den)
 
 
-# --- initial condition -----------------------------------------------------
+# --- initial hit -----------------------------------------------------------
 
 
 def test_initial_hits_canonical():
     # the only inherited event is the hit at t = 0; it schedules switch 1 at tau
     for tau in (F(7, 5), F(4, 3)):
-        trace = run(tau, ic=InitialCondition.canonical(tau)).trace
+        trace = run(tau).trace
         assert trace.events[0] == TraceEvent(F(0), F(0), "hit")
         first = trace.turning_points[0]
         assert (first.beta, first.hit_time) == (tau, 0)
-
-
-def test_initial_hits_interior_breakpoint():
-    tau = F(3, 2) - F(1, 100)
-    ic = InitialCondition.from_pairs([(-tau, -tau), (F(-1, 2), F(-1, 4)), (0, 0)])
-    trace = simulate_switches(tau, 1, ic=ic)
-    assert trace.events[0] == TraceEvent(F(0), F(0), "hit")
-    assert (trace.turning_points[0].beta, trace.turning_points[0].hit_time) == (tau, 0)
-
-
-def test_initial_condition_rejects_boundary_contact():
-    tau = F(7, 5)
-    bad = [
-        [(-tau, -tau), (F(-1, 2), F(0)), (0, 0)],  # touches 0 before 0
-        [(-tau, -tau), (F(-1, 2), F(1)), (0, 0)],  # touches 1
-        [(-tau, F(1, 2)), (F(-1, 2), F(-1, 2)), (0, 0)],  # crosses 0 inside a segment
-        [(-tau, F(2)), (0, 0)],  # crosses 1
-    ]
-    for pairs in bad:
-        ic = InitialCondition.from_pairs(pairs)
-        with pytest.raises(InvalidInitialCondition):
-            run(tau, ic=ic)
-        with pytest.raises(InvalidInitialCondition):
-            simulate_switches(tau, 5, ic=ic)
-
-
-def test_initial_condition_shape_errors():
-    tau = F(7, 5)
-    with pytest.raises(InvalidInitialCondition):
-        InitialCondition.from_pairs([(-1, -1), (0, 0)]).validate(tau)  # wrong start
-    with pytest.raises(InvalidInitialCondition):
-        InitialCondition.from_pairs([(-tau, -tau), (0, F(1, 2))]).validate(tau)
-    with pytest.raises(InvalidInitialCondition):
-        InitialCondition.from_pairs([(-tau, -tau), (F(-2), F(-1, 2)), (0, 0)]).validate(tau)
-
-
-def test_history_shape_is_irrelevant_beyond_hits():
-    tau = F(89, 66)
-    bent = InitialCondition.from_pairs([(-tau, F(-3)), (F(-1, 3), F(-1, 4)), (0, 0)])
-    assert run(tau) == run(tau, ic=bent)
 
 
 # --- ray geometry ----------------------------------------------------------

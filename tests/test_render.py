@@ -6,11 +6,7 @@ import pytest
 
 from delayswitch import engine
 from delayswitch.engine import SimTrace
-from delayswitch.render import (
-    fit_viewport,
-    render_trajectory,
-    trajectory_vertices,
-)
+from delayswitch.render import _vertices, _viewport, render_trajectory
 
 
 def polyline_points(svg: str) -> list[str]:
@@ -20,15 +16,16 @@ def polyline_points(svg: str) -> list[str]:
 
 
 def test_single_segment_trace():
-    svg = render_trajectory(SimTrace(F(1), ((0, 0, "hit"), (1, 1, "hit"))), width=300, height=200)
+    trace = SimTrace(F(1), ((0, 0, "hit"), (1, 1, "hit")))
+    svg = render_trajectory(engine.Undetermined(0, trace), width=300, height=200)
     pts = polyline_points(svg)
-    vp = fit_viewport([(0.0, 0.0), (1.0, 1.0)], 300, 200)
+    vp = _viewport([(0.0, 0.0), (1.0, 1.0)], 300, 200)
     assert pts == [vp.point_attr(0.0, 0.0), vp.point_attr(1.0, 1.0)]
 
 
 def test_empty_trace_rejected():
     with pytest.raises(ValueError):
-        render_trajectory(SimTrace(F(1), ()))
+        render_trajectory(engine.Undetermined(0, SimTrace(F(1), ())))
 
 
 def test_byte_determinism():
@@ -43,15 +40,15 @@ def test_turning_points_are_vertices():
     outcome = engine.run(F(64, 43))
     svg = render_trajectory(outcome)
     pts = set(polyline_points(svg))
-    vertices = trajectory_vertices(outcome)
-    vp = fit_viewport(vertices, 900, 380)
+    vertices = _vertices(outcome)
+    vp = _viewport(vertices, 900, 380)
     for point in outcome.turning_points:
         assert vp.point_attr(float(point.beta), float(point.alpha)) in pts
 
 
 def test_coinciding_events_collapse_to_one_vertex():
     outcome = engine.run(F(4, 3))
-    vertices = trajectory_vertices(outcome)
+    vertices = _vertices(outcome)
     assert len(vertices) == len(set(vertices))
 
 
@@ -59,7 +56,7 @@ def test_divergent_ray_and_marker():
     divergent = engine.run(F(63, 43))
     svg = render_trajectory(divergent)
     assert 'marker-end="url(#ray-arrow)"' in svg
-    vertices = trajectory_vertices(divergent)
+    vertices = _vertices(divergent)
     last, prev = vertices[-1], vertices[-2]
     assert last[0] > prev[0] and last[1] < prev[1]  # descending tail
     periodic_svg = render_trajectory(engine.run(F(4, 3)))
@@ -68,11 +65,13 @@ def test_divergent_ray_and_marker():
 
 def test_guides_and_labels():
     outcome = engine.run(F(4, 3))
-    svg = render_trajectory(outcome, label_indices=(1, 3, 99), title="demo")
+    svg = render_trajectory(outcome, label_indices=(1, 3), title="demo")
     assert svg.count("stroke-dasharray") == 2  # x = 0 and x = 1 guides
     assert "&#945;1" in svg and "&#945;3" in svg
-    assert "&#945;99" not in svg  # out-of-range label index ignored
     assert ">demo<" in svg
+    for bad in (0, 99):  # 1-based indices of the 7 turning points
+        with pytest.raises(ValueError, match="label index"):
+            render_trajectory(outcome, label_indices=(1, bad))
 
 
 def test_svg_element_subset():
@@ -86,3 +85,4 @@ def test_title_is_escaped():
     root = ET.fromstring(svg)
     texts = [e.text for e in root.iter("{http://www.w3.org/2000/svg}text")]
     assert "a<b & c" in texts
+
