@@ -252,9 +252,12 @@ def _cmd_render(args, config) -> int:
     max_switches, max_time = _limits(args, config)
     width = _setting(args.width, config, "width", render.DEFAULT_WIDTH, int)
     height = _setting(args.height, config, "height", render.DEFAULT_HEIGHT, int)
-    labels: tuple[int, ...] = ()
-    if args.labels:
-        labels = tuple(int(piece) for piece in args.labels.split(",") if piece.strip())
+    labels: list[int] = []
+    for piece in filter(str.strip, (args.labels or "").split(",")):
+        try:
+            labels.append(int(piece))
+        except ValueError:
+            raise ValueError(f"--labels: {piece.strip()!r} is not an integer") from None
     outcome = engine.run(tau, max_switches=max_switches, max_time=max_time)
     svg = render.render_trajectory(
         outcome, width=width, height=height, label_indices=labels, title=args.title
@@ -326,6 +329,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # Exact in-domain values can run past the cap Python (3.10.7 on) puts on
+    # int <-> str digits; lift it for this call only and restore the caller's.
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return _main(argv)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _main(argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _main(argv: list[str] | None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -246,9 +246,10 @@ def simulate_switches(
 ) -> SimTrace:
     """Advance through n_switches switchings with recurrence detection off.
 
-    Used to replay past a detected period (the periodicity certificate).
-    Stops early only on divergence or the time cap; callers inspect the
-    trace length.
+    A fixed-length replay for long traces, such as many periods drawn or
+    cross-checked at once (``perfbench``'s horizon workload); the package
+    itself never calls it.  Stops early only on divergence or the time cap;
+    callers inspect the trace length.
     """
     return _simulate(tau, n_switches, max_time, detect_period=False).trace
 

@@ -12,17 +12,11 @@ byte-identical files.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .engine import Divergent, Outcome
 
 DEFAULT_WIDTH = 900
 DEFAULT_HEIGHT = 380
 _PAD = 48.0  # pixel margin around the plot area
-
-
-def _fmt(v: float) -> str:
-    return f"{v:.2f}"
 
 
 def _escape(text: str) -> str:
@@ -31,36 +25,22 @@ def _escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-@dataclass(frozen=True)
-class Viewport:
-    """Affine map from data coordinates (t, x) to pixel coordinates."""
-
-    width: int
-    height: int
-    t0: float
-    t1: float
-    x0: float
-    x1: float
-
-    def to_px(self, t: float, x: float) -> tuple[float, float]:
-        sx = (self.width - 2 * _PAD) / (self.t1 - self.t0)
-        sy = (self.height - 2 * _PAD) / (self.x1 - self.x0)
-        return (_PAD + (t - self.t0) * sx, self.height - _PAD - (x - self.x0) * sy)
-
-    def point_attr(self, t: float, x: float) -> str:
-        px, py = self.to_px(t, x)
-        return f"{_fmt(px)},{_fmt(py)}"
-
-
-def _viewport(points, width: int, height: int) -> Viewport:
-    """Viewport covering all points plus the two guide levels 0 and 1."""
+def _projection(points, width: int, height: int):
+    """Affine map from data (t, x) to pixels, fitted to all points plus the
+    guide levels 0 and 1, and the data ranges (t0, t1, x1) it spans."""
     ts = [p[0] for p in points]
     xs = [p[1] for p in points] + [0.0, 1.0]
     t0, t1 = min(ts), max(ts)
     x0, x1 = min(xs), max(xs)
     if t0 == t1:
         t1 = t0 + 1.0
-    return Viewport(width, height, t0, t1, x0, x1)
+    sx = (width - 2 * _PAD) / (t1 - t0)
+    sy = (height - 2 * _PAD) / (x1 - x0)
+
+    def to_px(t: float, x: float) -> tuple[float, float]:
+        return _PAD + (t - t0) * sx, height - _PAD - (x - x0) * sy
+
+    return to_px, (t0, t1, x1)
 
 
 def _vertices(outcome: Outcome) -> list[tuple[float, float]]:
@@ -107,7 +87,7 @@ def render_trajectory(
         if not 1 <= j <= len(turning):
             raise ValueError(f"label index {j} is outside 1..{len(turning)}")
     vertices = _vertices(outcome)
-    vp = _viewport(vertices, width, height)
+    to_px, (t0, t1, x1) = _projection(vertices, width, height)
     divergent = isinstance(outcome, Divergent)
     lines: list[str] = []
     lines.append('<?xml version="1.0" encoding="UTF-8"?>')
@@ -123,32 +103,32 @@ def render_trajectory(
     )
     if title:
         lines.append(
-            f'<text x="{_fmt(_PAD)}" y="20.00" font-family="monospace" '
+            f'<text x="{_PAD:.2f}" y="20.00" font-family="monospace" '
             f'font-size="14">{_escape(title)}</text>'
         )
     for level, name in ((0.0, "0"), (1.0, "1")):
-        (px0, py) = vp.to_px(vp.t0, level)
-        (px1, _) = vp.to_px(vp.t1, level)
+        px0, py = to_px(t0, level)
+        px1, _ = to_px(t1, level)
         lines.append(
-            f'<line x1="{_fmt(px0)}" y1="{_fmt(py)}" x2="{_fmt(px1)}" y2="{_fmt(py)}" '
+            f'<line x1="{px0:.2f}" y1="{py:.2f}" x2="{px1:.2f}" y2="{py:.2f}" '
             'stroke="#999999" stroke-width="1" stroke-dasharray="4 3"/>'
         )
         lines.append(
-            f'<text x="{_fmt(px0 - 16.0)}" y="{_fmt(py + 4.0)}" '
+            f'<text x="{px0 - 16.0:.2f}" y="{py + 4.0:.2f}" '
             f'font-family="monospace" font-size="12">{name}</text>'
         )
-    axis_x, axis_y = vp.to_px(vp.t1, 0.0)
+    axis_x, axis_y = to_px(t1, 0.0)
     lines.append(
-        f'<text x="{_fmt(axis_x + 4.0)}" y="{_fmt(axis_y + 4.0)}" '
+        f'<text x="{axis_x + 4.0:.2f}" y="{axis_y + 4.0:.2f}" '
         'font-family="monospace" font-size="12">t</text>'
     )
-    top_x, top_y = vp.to_px(vp.t0, vp.x1)
+    top_x, top_y = to_px(t0, x1)
     lines.append(
-        f'<text x="{_fmt(top_x - 16.0)}" y="{_fmt(top_y - 6.0)}" '
+        f'<text x="{top_x - 16.0:.2f}" y="{top_y - 6.0:.2f}" '
         'font-family="monospace" font-size="12">x</text>'
     )
     marker = ' marker-end="url(#ray-arrow)"' if divergent else ""
-    path = " ".join(vp.point_attr(t, x) for t, x in vertices)
+    path = " ".join(["%.2f,%.2f" % to_px(t, x) for t, x in vertices])
     lines.append(
         f'<polyline class="trajectory" points="{path}" '
         f'fill="none" stroke="#000000" stroke-width="1.5"{marker}/>'
@@ -156,9 +136,9 @@ def render_trajectory(
     q = outcome.trace.tau.denominator
     for j in label_indices:
         t, x = turning[j - 1]
-        px, py = vp.to_px(t / q, x / q)
+        px, py = to_px(t / q, x / q)
         lines.append(
-            f'<text x="{_fmt(px + 5.0)}" y="{_fmt(py - 6.0)}" '
+            f'<text x="{px + 5.0:.2f}" y="{py - 6.0:.2f}" '
             f'font-family="monospace" font-size="12">&#945;{j}</text>'
         )
     lines.append("</svg>")

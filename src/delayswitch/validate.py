@@ -5,7 +5,8 @@ event simulation (engine), the closed-form predictions (analysis), and a
 deliberately low-tech fixed-step floating-point simulation.  The exact
 checks read one engine outcome: the caller that owns the limits runs
 ``engine.run`` once and hands the outcome to every check (a check given a
-bare tau runs it with the default limits).  ``sweep`` runs the
+bare tau runs it with the default limits).  The period certificate reads
+that outcome's rows, so no check simulates a second time.  ``sweep`` runs the
 classifier-vs-simulator comparison over every regime up to a chosen k and
 serializes the result as CSV or JSON; disagreements are report rows, never
 aborts.
@@ -47,7 +48,7 @@ class TheoremCheck:
     simulated_switches: int | None
     agree: bool
     reason: str  # "" when agreeing; else "horizon" | "behavior" | "switch_count" | "certificate"
-    certificate_ok: bool | None  # None when not applicable / not requested
+    certificate_ok: bool | None  # None unless the simulation agrees and is periodic
 
 
 @dataclass(frozen=True)
@@ -82,33 +83,31 @@ def _outcome_of(tau: Rat, outcome: engine.Outcome | None) -> engine.Outcome:
 
 
 def periodicity_certificate(outcome: engine.Periodic) -> bool:
-    """Replay one extra period and confirm the switch sequence repeats.
+    """Confirm from the run's rows that the state at switch i recurs at i + m.
 
-    Switch n + m must occur exactly least_period after switch n with the same
-    position, for every n in the reported cycle (m switchings per period).
+    After switch n at T the state is the slope (-1)**n, X and the offsets
+    h + p - T of the pending hits h, T - p < h <= T.  It fixes the rest of the
+    path, so equal states at switches least_period apart prove the cycle.
     """
     i, m = outcome.start_switch, outcome.switchings_per_period
-    trace = engine.simulate_switches(outcome.trace.tau, i + 2 * m - 1)
-    period = outcome.least_period * trace.tau.denominator  # in the trace's 1/q units
-    points = trace.switches
-    if len(points) < i + 2 * m - 1:
+    p, q = outcome.trace.tau.numerator, outcome.trace.tau.denominator
+    points = outcome.trace.switches
+    if i < 1 or m < 1 or len(points) < i + m:
         return False
-    for n in range(i, i + m):
-        (t_a, x_a), (t_b, x_b) = points[n - 1], points[n + m - 1]
-        if t_b - t_a != period or x_b != x_a:
-            return False
-    return True
+    hits = [t for t, _, kind in outcome.trace.rows if kind == "hit"]
+    (t_i, x_i), (t_m, x_m) = points[i - 1], points[i + m - 1]
+    pending_i, pending_m = ([h + p - t for h in hits if t - p < h <= t] for t in (t_i, t_m))
+    period_ok = t_m - t_i == outcome.least_period * q
+    return m % 2 == 0 and period_ok and x_i == x_m and pending_i == pending_m
 
 
-def check_theorem(
-    tau: Rat, outcome: engine.Outcome | None = None, certify: bool = True
-) -> TheoremCheck:
+def check_theorem(tau: Rat, outcome: engine.Outcome | None = None) -> TheoremCheck:
     """Compare the classifier's prediction with an exact simulation of tau.
 
     ``outcome`` is that simulation (``engine.run(tau)`` when None).  Behavior
     kind and switch count must match exactly; for periodic outcomes the
-    period certificate is confirmed as well (unless certify=False).  An
-    Undetermined simulation is a disagreement with reason "horizon".
+    period certificate is confirmed as well.  An Undetermined simulation is
+    a disagreement with reason "horizon".
     """
     prediction = analysis.classify(tau)
     if prediction.regime.kind is RegimeKind.OUT_OF_RANGE:
@@ -124,7 +123,7 @@ def check_theorem(
         agree, reason = False, "switch_count"
     else:
         agree, reason = True, ""
-        if certify and isinstance(outcome, engine.Periodic):
+        if isinstance(outcome, engine.Periodic):
             certificate_ok = periodicity_certificate(outcome)
             if not certificate_ok:
                 agree, reason = False, "certificate"
@@ -423,12 +422,13 @@ def sweep(
 ) -> SweepReport:
     """Classifier-vs-simulation agreement across all six regimes up to k_max.
 
-    Agreement requires behavior kind and switch count to match exactly.
-    Entries are reported in increasing tau order; disagreements are rows,
-    not errors, so a sweep always completes.
+    Agreement requires behavior kind and switch count to match exactly, and
+    a periodic run's certificate to hold.  Entries are reported in
+    increasing tau order; disagreements are rows, not errors, so a sweep
+    always completes.
     """
     entries = tuple(
-        check_theorem(tau, engine.run(tau, max_switches, max_time), certify=False)
+        check_theorem(tau, engine.run(tau, max_switches, max_time))
         for tau in sweep_taus(k_max, samples_per_interval)
     )
     return SweepReport(k_max, samples_per_interval, entries)

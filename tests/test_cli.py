@@ -2,12 +2,14 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
 from delayswitch import engine
 from delayswitch.cli import main
+from delayswitch.exact import rat_format
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -130,6 +132,34 @@ def test_critical_table(capsys):
     assert "7/5" in out
 
 
+def test_cli_answers_past_the_int_digit_limit_and_restores_it(capsys):
+    limit = sys.get_int_max_str_digits()
+    k = 7143  # tau_k = 3*4^k / (2*4^k + 1) has more than 4,300 digits
+    argv = ("critical", "--kind", "tau", "--k-from", str(k), "--k-to", str(k))
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and sys.get_int_max_str_digits() == limit
+    sys.set_int_max_str_digits(0)
+    try:
+        expected = rat_format(F(3 * 4**k, 2 * 4**k + 1))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert out.splitlines()[1].startswith(f"tau,{k},{expected},")
+
+    code, out, _ = run_cli(capsys, "classify", "1.4" + "9" * 5000)
+    assert code == 0 and sys.get_int_max_str_digits() == limit
+    doc = json.loads(out)
+    assert (doc["regime"], doc["k"], doc["switch_count"]) == ("open_theta_zeta", 8306, 16618)
+
+
+def test_importing_the_package_keeps_the_int_digit_limit():
+    script = (
+        "import sys; limit = sys.get_int_max_str_digits(); import delayswitch.cli; "
+        "assert sys.get_int_max_str_digits() == limit"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    assert subprocess.run([sys.executable, "-c", script], env=env).returncode == 0
+
+
 def test_critical_bad_range(capsys):
     code, _, err = run_cli(capsys, "critical", "--kind", "tau", "--k-from", "3", "--k-to", "1")
     assert code == 2
@@ -181,9 +211,8 @@ def test_verify_answers_large_k(capsys):
     assert out.endswith("VERDICT: OK\n")
 
 
-def test_verify_simulates_a_periodic_delay_twice_and_a_divergent_one_once(capsys, monkeypatch):
-    # one run feeds both checks and the printout; periodic delays add the
-    # certificate replay
+def test_verify_simulates_every_delay_once(capsys, monkeypatch):
+    # one run feeds both checks, the period certificate and the printout
     calls = []
     simulate = engine._simulate
 
@@ -192,7 +221,7 @@ def test_verify_simulates_a_periodic_delay_twice_and_a_divergent_one_once(capsys
         return simulate(*args, **kwargs)
 
     monkeypatch.setattr(engine, "_simulate", counted)
-    for tau, simulations in (("147/100", 2), ("63/43", 1)):
+    for tau, simulations in (("147/100", 1), ("63/43", 1)):
         calls.clear()
         code, out, _ = run_cli(capsys, "verify", tau)
         assert code == 0 and out.endswith("VERDICT: OK\n")
@@ -253,6 +282,8 @@ def test_render_refuses_label_indices_outside_the_turning_points(capsys):
     for labels in ("0", "99", "1,8"):  # 4/3 has 7 turning points
         code, out, err = run_cli(capsys, "render", "4/3", "--labels", labels)
         assert code == 2 and out == "" and "label index" in err
+    code, out, err = run_cli(capsys, "render", "4/3", "--labels", "1,x")
+    assert code == 2 and out == "" and "--labels: 'x' is not an integer" in err
     code, out, _ = run_cli(capsys, "render", "4/3", "--labels", "1,7")
     assert code == 0 and "&#945;7" in out
 

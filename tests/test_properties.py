@@ -1,4 +1,5 @@
-"""Property tests: the exact engine against the closed forms on random delays.
+"""Property tests: the exact engine against the closed forms on random delays,
+and the row period certificate against a replay of the engine.
 
 Delays are random rationals in [4/3, 3/2) with denominators up to 10^12,
 plus the exact critical values, where the behaviour changes.
@@ -19,6 +20,7 @@ from delayswitch.analysis import (
     horizon_J,
 )
 from delayswitch.engine import Divergent, Periodic, run, simulate_switches
+from delayswitch.validate import periodicity_certificate
 
 
 @st.composite
@@ -74,3 +76,30 @@ def test_fraction_views_equal_the_scaled_rows(tau, n_switches):
     assert len(trace.turning_points) == len(trace.switches)
     for point, (t, x) in zip(trace.turning_points, trace.switches):
         assert (point.beta, point.alpha, point.hit_time) == (F(t, q), F(x, q), F(t, q) - tau)
+
+
+def replay_certificate(outcome: Periodic) -> bool:
+    """The reference certificate: replay one extra period from t = 0 and
+    require switch n + m to fall least_period after switch n at the same
+    position, for every n in the claimed cycle."""
+    i, m = outcome.start_switch, outcome.switchings_per_period
+    points = simulate_switches(outcome.trace.tau, i + 2 * m - 1).switches
+    period = outcome.least_period * outcome.trace.tau.denominator
+    if len(points) < i + 2 * m - 1:
+        return False
+    return all(
+        points[n + m - 1][0] - points[n - 1][0] == period
+        and points[n + m - 1][1] == points[n - 1][1]
+        for n in range(i, i + m)
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(window_delays(), critical_delays))
+def test_row_certificate_agrees_with_a_replay(tau):
+    out = run(tau)
+    assume(isinstance(out, Periodic))
+    assert periodicity_certificate(out) and replay_certificate(out)
+    i, m = out.start_switch, out.switchings_per_period
+    off = Periodic(out.least_period + F(1, tau.denominator), m, i, out.trace)
+    assert not periodicity_certificate(off) and not replay_certificate(off)

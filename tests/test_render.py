@@ -6,7 +6,7 @@ import pytest
 
 from delayswitch import engine
 from delayswitch.engine import SimTrace
-from delayswitch.render import _vertices, _viewport, render_trajectory
+from delayswitch.render import _projection, _vertices, render_trajectory
 
 
 def polyline_points(svg: str) -> list[str]:
@@ -19,8 +19,8 @@ def test_single_segment_trace():
     trace = SimTrace(F(1), ((0, 0, "hit"), (1, 1, "hit")))
     svg = render_trajectory(engine.Undetermined(0, trace), width=300, height=200)
     pts = polyline_points(svg)
-    vp = _viewport([(0.0, 0.0), (1.0, 1.0)], 300, 200)
-    assert pts == [vp.point_attr(0.0, 0.0), vp.point_attr(1.0, 1.0)]
+    to_px, _ = _projection([(0.0, 0.0), (1.0, 1.0)], 300, 200)
+    assert pts == ["%.2f,%.2f" % to_px(0.0, 0.0), "%.2f,%.2f" % to_px(1.0, 1.0)]
 
 
 def test_empty_trace_rejected():
@@ -41,9 +41,9 @@ def test_turning_points_are_vertices():
     svg = render_trajectory(outcome)
     pts = set(polyline_points(svg))
     vertices = _vertices(outcome)
-    vp = _viewport(vertices, 900, 380)
+    to_px, _ = _projection(vertices, 900, 380)
     for point in outcome.turning_points:
-        assert vp.point_attr(float(point.beta), float(point.alpha)) in pts
+        assert "%.2f,%.2f" % to_px(float(point.beta), float(point.alpha)) in pts
 
 
 def test_coinciding_events_collapse_to_one_vertex():

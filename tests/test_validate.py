@@ -105,32 +105,62 @@ def _move_switch(trace, j):
     return engine.SimTrace(trace.tau, tuple(rows))
 
 
-def test_checks_catch_a_corrupted_trace(monkeypatch):
+def test_checks_catch_a_corrupted_trace():
     tau = F(147, 100)
     honest = engine.run(tau)
     i, m = honest.start_switch, honest.switchings_per_period
     wrong_period = engine.Periodic(honest.least_period + F(1, 100), m, i, honest.trace)
     assert not periodicity_certificate(wrong_period)
-    replay = engine.simulate_switches(tau, i + 2 * m - 1)
-    monkeypatch.setattr(engine, "simulate_switches", lambda *a, **k: _move_switch(replay, i + m))
-    assert not periodicity_certificate(honest)
+    moved = engine.Periodic(honest.least_period, m, i, _move_switch(honest.trace, i + m))
+    assert not periodicity_certificate(moved)
     corrupted = engine.Periodic(honest.least_period, m, i, _move_switch(honest.trace, 1))
     assert "alpha_1" in check_closed_form(tau, corrupted).mismatches
 
 
 def test_checks_given_an_outcome_do_not_simulate(monkeypatch):
     outcomes = {tau: engine.run(tau) for tau in sweep_taus(6, 3)}
-    expected = {
-        tau: (check_theorem(tau, certify=False), check_closed_form(tau)) for tau in outcomes
-    }
+    expected = {tau: (check_theorem(tau), check_closed_form(tau)) for tau in outcomes}
 
     def refuse(*args, **kwargs):
         raise AssertionError("simulated again")
 
     monkeypatch.setattr(engine, "_simulate", refuse)
     for tau, outcome in outcomes.items():
-        given = (check_theorem(tau, outcome, certify=False), check_closed_form(tau, outcome))
+        given = (check_theorem(tau, outcome), check_closed_form(tau, outcome))
         assert given == expected[tau], tau
+        if isinstance(outcome, engine.Periodic):
+            assert periodicity_certificate(outcome), tau
+
+
+def test_periodicity_certificate_rejects_mutants():
+    honest = engine.run(F(147, 100))
+    i, m, period = honest.start_switch, honest.switchings_per_period, honest.least_period
+    trace = honest.trace
+    p, q = trace.tau.numerator, trace.tau.denominator
+    assert periodicity_certificate(honest)
+    t_end = trace.switches[i + m - 1][0]
+    rows = trace.rows
+    window = [n for n, (t, _, kind) in enumerate(rows) if kind == "hit" and t_end - p < t <= t_end]
+    dropped = rows[: window[0]] + rows[window[0] + 1 :]
+    t_short = trace.switches[i + m - 3][0] - trace.switches[i - 1][0]
+    mutants = {
+        "switch i + m moved by 1/q": engine.Periodic(period, m, i, _move_switch(trace, i + m)),
+        "pending hit dropped": engine.Periodic(period, m, i, engine.SimTrace(trace.tau, dropped)),
+        "wrong least period": engine.Periodic(period - F(1, q), m, i, trace),
+        "cycle two switchings short": engine.Periodic(F(t_short, q), m - 2, i, trace),
+    }
+    # 11/8 repeats (slope, X) at switches 6 and 8, but not the pending switches
+    other = engine.run(F(11, 8)).trace
+    (t6, x6), (t8, x8) = other.switches[5], other.switches[7]
+    assert x6 == x8
+    mutants["only (slope, X) repeats"] = engine.Periodic(F(t8 - t6, 8), 2, 6, other)
+    # equal X, nothing pending, the claimed gap: only the slope differs
+    odd = engine.SimTrace(F(3, 2), ((0, 0, "hit"), (3, 3, "switch"), (13, 3, "switch")))
+    mutants["odd switchings per period"] = engine.Periodic(F(5), 1, 1, odd)
+    mutants["empty cycle"] = engine.Periodic(F(0), 0, 1, odd)
+    mutants["cycle from switch 0"] = engine.Periodic(F(0), 2, 0, odd)
+    for name, mutant in mutants.items():
+        assert not periodicity_certificate(mutant), name
 
 
 def test_checks_refuse_an_outcome_of_another_delay():
