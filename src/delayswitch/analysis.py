@@ -16,6 +16,7 @@ behavior together with the exact switching count.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -108,14 +109,20 @@ def distance_to_critical(tau: Rat) -> Rat:
 def closed_coefficients(j: int) -> tuple[int, int, int, int]:
     """Integers (a, b, c, d) with beta_j = a*tau + b and alpha_j = c*tau + d,
     so that with tau = p/q, q*beta_j = a*p + b*q and q*alpha_j = c*p + d*q."""
+    return next(closed_coefficient_rows(j))
+
+
+def closed_coefficient_rows(j: int = 1) -> Iterator[tuple[int, int, int, int]]:
+    """closed_coefficients(j), closed_coefficients(j + 1), ... without end,
+    stepping u = (-2)^(j-1) and v = 2^(j-1) from row to row: the docstring
+    formulas read a = (6j + 1 + 2u)/9, b = (1 - u)/3, c = (2v + (-1)^(j+1))/3
+    and d = 1 - v."""
     if j < 1:
         raise ValueError("j must be >= 1")
-    return (
-        (6 * j + 1 - (-2) ** j) // 9,
-        (1 - (-2) ** (j - 1)) // 3,
-        (2**j - (-1) ** j) // 3,
-        1 - 2 ** (j - 1),
-    )
+    u, v = (-2) ** (j - 1), 2 ** (j - 1)
+    while True:
+        yield (6 * j + 1 + 2 * u) // 9, (1 - u) // 3, (2 * v + 2 * (j & 1) - 1) // 3, 1 - v
+        j, u, v = j + 1, -2 * u, 2 * v
 
 
 def beta_closed(j: int, tau: Rat) -> Rat:

@@ -75,14 +75,15 @@ def _setting(flag_value, config: dict[str, str], key: str, default, convert):
     return default if raw is None else convert(raw)
 
 
-def _limits(args, config) -> tuple[int, Fraction]:
-    max_switches = _setting(
-        args.max_switches, config, "max_switches", engine.DEFAULT_MAX_SWITCHES, int
-    )
-    max_time = _setting(
-        args.max_time, config, "max_time", engine.DEFAULT_MAX_TIME, rat_parse
-    )
-    return max_switches, max_time
+def _limits(args, config, switch_count: int | None = None) -> tuple[int, Fraction]:
+    """The limits a flag or the config sets, else the engine's defaults raised
+    to cover a predicted ``switch_count``: a periodic run closes its first
+    cycle by switching count + 1, and a switching takes under two time units."""
+    n = 0 if switch_count is None else switch_count + 1
+    max_switches = max(engine.DEFAULT_MAX_SWITCHES, n)
+    max_time = max(engine.DEFAULT_MAX_TIME, Fraction(2 * n))
+    max_switches = _setting(args.max_switches, config, "max_switches", max_switches, int)
+    return max_switches, _setting(args.max_time, config, "max_time", max_time, rat_parse)
 
 
 def _turning_doc(point: engine.TurningPoint) -> dict:
@@ -209,7 +210,7 @@ def _cmd_sweep(args, config) -> int:
 
 def _cmd_verify(args, config) -> int:
     tau = rat_parse(args.tau)
-    max_switches, max_time = _limits(args, config)
+    max_switches, max_time = _limits(args, config, analysis.classify(tau).switch_count)
     outcome = engine.run(tau, max_switches=max_switches, max_time=max_time)
     theorem = validate.check_theorem(tau, outcome)
     closed = validate.check_closed_form(tau, outcome)
@@ -219,10 +220,10 @@ def _cmd_verify(args, config) -> int:
         f"classifier: {prediction.regime.kind.value} (k={prediction.regime.k}) -> "
         f"{prediction.behavior.value}, {prediction.switch_count} switchings"
     )
-    print(
-        f"simulation: {theorem.simulated_behavior}, "
-        f"{theorem.simulated_switches} switchings"
-    )
+    switches, stop = theorem.simulated_switches, ""
+    if isinstance(outcome, engine.Undetermined):
+        switches, stop = outcome.switchings_executed, f", stopped by {outcome.stopped_by}"
+    print(f"simulation: {theorem.simulated_behavior}, {switches} switchings{stop}")
     print(f"theorem agreement: {'OK' if theorem.agree else 'FAIL (' + theorem.reason + ')'}")
     if theorem.certificate_ok is not None:
         print(f"period certificate: {'OK' if theorem.certificate_ok else 'FAIL'}")

@@ -13,16 +13,17 @@ access, so checks that read the rows never pay for them.
 The complete Markov state is (slope, position, pending switch offsets):
 exact recurrence of that state across two switch instants certifies
 periodicity, and an empty pending queue while the path moves away from both
-boundaries certifies divergence.  Simulation starts on the rising branch
-from x(0) = 0.  As in the paper, the history on [-tau, 0] stays clear of
-{0, 1} before time zero; every such history then yields the same solution,
-because the only inherited event is the hit at t = 0, so the engine takes
-no history.
+boundaries certifies divergence.  The loop keeps every scheduled switch
+time in one append-only list and indexes the states it has seen by (slope,
+position), comparing pending offsets only when such a pair repeats.
+Simulation starts on the rising branch from x(0) = 0.  As in the paper, the
+history on [-tau, 0] stays clear of {0, 1} before time zero; every such
+history then yields the same solution, because the only inherited event is
+the hit at t = 0, so the engine takes no history.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -147,15 +148,19 @@ def _simulate(
 
     Works in units of 1/q for tau = p/q: the boundaries are 0 and q, the
     delay is p, and time T, position X and the pending switch times are
-    ints.  Each step advances to the earliest event: a boundary hit (the
-    ray meeting 0 or q, touches included) appends the switch time T + p;
-    a due switch pops the queue head and toggles the slope.  A hit and a
-    switch at one instant are both processed there, the hit first, so the
-    post-switch state already holds the freshly scheduled switch.  The
-    post-switch state (slope, X, pending offsets) is the complete Markov
-    state; with ``detect_period`` its first exact recurrence ends the run
-    as Periodic.  An empty queue with the ray pointing away from both
-    boundaries ends it as Divergent; the limits end it as Undetermined.
+    ints.  ``due`` lists every switch time scheduled, the pending ones being
+    ``due[head:]``.  Each step advances to the earliest event: a boundary
+    hit (the ray meeting 0 or q, touches included) appends the switch time
+    T + p to ``due``; a due switch advances ``head`` and toggles the slope.
+    A hit and a switch at one instant are both processed there, the hit
+    first, so the post-switch state already holds the freshly scheduled
+    switch.  The post-switch state (slope, X, pending offsets) is the
+    complete Markov state; with ``detect_period`` its first exact recurrence
+    ends the run as Periodic.  ``seen`` maps (slope, X) to the entries
+    (switch number, T, head, len(due)) of the states seen there, whose
+    offsets are compared only when the pair repeats.  An empty queue with
+    the ray pointing away from both boundaries ends the run as Divergent;
+    the limits end it as Undetermined.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
@@ -164,13 +169,13 @@ def _simulate(
     max_time = Fraction(max_time)
     # T * den >= num * q  <=>  T >= ceil(num * q / den), T being an int
     t_cap = -(-max_time.numerator * q // max_time.denominator)
-    t = x = switches = 0
+    t = x = switches = head = 0
     slope = 1  # +1 exactly while the number of executed switches is even
-    pending = deque([p])  # strictly increasing switch times in (t, t + p]
+    due = [p]  # every switch time scheduled, increasing; pending: due[head:]
     events = [(0, 0, "hit")]
-    first_seen: dict[tuple, tuple[int, int]] = {}  # state -> (switch number, T)
+    seen: dict[tuple[int, int], list[tuple[int, int, int, int]]] = {}
     while True:
-        if not pending and (x < 0 if slope < 0 else x > q):
+        if head == len(due) and (x < 0 if slope < 0 else x > q):
             result = (Divergent, slope)
             break
         if switches >= max_switches or t >= t_cap:
@@ -180,8 +185,8 @@ def _simulate(
             hit = t - x if x < 0 else (t + q - x if x < q else None)
         else:
             hit = t + x - q if x > q else (t + x if x > 0 else None)
-        if pending and (hit is None or pending[0] <= hit):
-            t_next = pending[0]
+        if head < len(due) and (hit is None or due[head] <= hit):
+            t_next = due[head]
             did_hit, did_switch = hit == t_next, True
         elif hit is None:
             raise RuntimeError("no future event in a non-divergent state")
@@ -192,29 +197,35 @@ def _simulate(
         if did_hit:
             assert x == 0 or x == q
             scheduled = t + p
-            # hits are isolated instants, so the queue stays strictly increasing
-            assert not pending or pending[-1] < scheduled
-            pending.append(scheduled)
+            # hits are isolated instants, so the schedule stays strictly increasing
+            assert due[-1] < scheduled
+            due.append(scheduled)
             events.append((t, x, "hit"))
         if did_switch:
             assert did_hit or (x != 0 and x != q)
-            pending.popleft()
+            head += 1
             slope = -slope
             switches += 1
             events.append((t, x, "switch"))
             if detect_period:
-                state = (slope, x, tuple(s - t for s in pending))
-                first = first_seen.setdefault(state, (switches, t))
-                if first[0] != switches:
-                    result = (Periodic, first)
+                entry = (switches, t, head, len(due))
+                entries = seen.get((slope, x))
+                if entries is None:
+                    seen[slope, x] = [entry]
+                    continue
+                offsets = [d - t for d in due[head:]]
+                same = [e for e in entries if [d - e[1] for d in due[e[2] : e[3]]] == offsets]
+                if same:
+                    result = (Periodic, same[0])
                     break
+                entries.append(entry)
     trace = SimTrace(tau, tuple(events))
     kind, value = result
     if kind is Undetermined:
         return Undetermined(switches, trace, value)
     if kind is Divergent:
         return Divergent(value, switches, trace)
-    i, t_i = value
+    i, t_i, _, _ = value
     return Periodic(
         least_period=Fraction(t - t_i, q),
         switchings_per_period=switches - i,

@@ -133,24 +133,24 @@ def check_theorem(tau: Rat, outcome: engine.Outcome | None = None) -> TheoremChe
 def check_closed_form(tau: Rat, outcome: engine.Outcome | None = None) -> ClosedFormCheck:
     """Confirm simulated switch data equals the closed forms up to the horizon.
 
-    ``outcome`` is the simulation of tau (``engine.run(tau)`` when None).
-    For every j <= J the simulated beta_j and alpha_j must equal beta_closed
-    and alpha_closed exactly, and the first index at which the simulated
-    turning values violate the alternating inequalities must be J itself.
+    ``outcome`` is the simulation of tau; a bare tau runs the engine for the
+    J = ``horizon_J(tau)`` switchings the check reads.  For every j <= J the
+    simulated beta_j and alpha_j must equal beta_closed and alpha_closed
+    exactly, and the first index at which the simulated turning values
+    violate the alternating inequalities must be J itself.
     """
     tau = Fraction(tau)
     if not analysis.TAU_LOW <= tau < analysis.SUP:
         raise ValueError("check_closed_form requires tau in [4/3, 3/2)")
     horizon = analysis.horizon_J(tau)
-    outcome = _outcome_of(tau, outcome)
+    outcome = engine.run(tau, horizon) if outcome is None else _outcome_of(tau, outcome)
     p, q = tau.numerator, tau.denominator
     points = outcome.trace.switches  # (q*beta_j, q*alpha_j)
     mismatches: list[str] = []
     if len(points) < horizon:
         mismatches.append(f"trace has {len(points)} switchings, horizon is {horizon}")
-    for j in range(1, min(horizon, len(points)) + 1):
-        t, x = points[j - 1]
-        a, b, c, d = analysis.closed_coefficients(j)
+    rows = analysis.closed_coefficient_rows()
+    for j, (t, x), (a, b, c, d) in zip(range(1, horizon + 1), points, rows):
         if t != a * p + b * q:
             mismatches.append(f"beta_{j}")
         if x != c * p + d * q:

@@ -13,6 +13,8 @@ from delayswitch.analysis import (
     beta_closed,
     beta_recurrence,
     classify,
+    closed_coefficient_rows,
+    closed_coefficients,
     critical_value,
     distance_to_critical,
     horizon_J,
@@ -119,6 +121,29 @@ def test_alpha_routes_agree():
         betas = beta_recurrence(40, tau)
         for j in range(2, 41):
             assert alpha_from_beta(j, tau, betas) == alpha_closed(j, tau)
+
+
+def test_stepped_coefficient_rows_match_the_docstring_formulas():
+    # beta_j = (6j + 1 - (-2)^j)/9 * tau - ((-2)^(j-1) - 1)/3 and
+    # alpha_j = (2^j - (-1)^j)/3 * tau - 2^(j-1) + 1, each coefficient an integer
+    formulas = [
+        (
+            F(6 * j + 1 - (-2) ** j, 9),
+            -F((-2) ** (j - 1) - 1, 3),
+            F(2**j - (-1) ** j, 3),
+            F(1 - 2 ** (j - 1)),
+        )
+        for j in range(1, 301)
+    ]
+    assert all(v.denominator == 1 for row in formulas for v in row)
+    rows = closed_coefficient_rows()
+    assert [next(rows) for _ in range(300)] == formulas
+    assert [closed_coefficients(j) for j in range(1, 301)] == formulas
+    rows = closed_coefficient_rows(117)
+    assert [next(rows) for _ in range(184)] == formulas[116:]
+    for j in (0, -3):
+        with pytest.raises(ValueError):
+            closed_coefficients(j)
 
 
 def test_alpha_closed_values():

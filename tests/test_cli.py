@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -8,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from delayswitch import engine
+from delayswitch.analysis import CriticalKind, critical_value
 from delayswitch.cli import main
 from delayswitch.exact import rat_format
 
@@ -226,6 +229,38 @@ def test_verify_simulates_every_delay_once(capsys, monkeypatch):
         code, out, _ = run_cli(capsys, "verify", tau)
         assert code == 0 and out.endswith("VERDICT: OK\n")
         assert len(calls) == simulations, tau
+
+
+class _LastLine(io.TextIOBase):
+    """A stdout that keeps only the end of what is written to it."""
+
+    def __init__(self):
+        self.tail = ""
+
+    def write(self, text):
+        self.tail = (self.tail + text)[-1000:]
+        return len(text)
+
+
+def test_verify_sizes_unset_limits_from_the_prediction():
+    # tau_2600 closes its first cycle at switching 10,403, near t = 10,404:
+    # past both engine defaults, so verify raises the limits no flag sets
+    tau = rat_format(critical_value(CriticalKind.TAU, 2600))
+    sink = _LastLine()
+    with contextlib.redirect_stdout(sink):
+        code = main(["verify", tau])
+    assert code == 0 and sink.tail.endswith("\nVERDICT: OK\n")
+
+
+def test_verify_names_the_limit_that_stopped_an_undetermined_run(tmp_path, capsys):
+    code, out, _ = run_cli(capsys, "verify", "4/3", "--max-switches", "3")
+    assert code == 1
+    assert "simulation: undetermined, 3 switchings, stopped by max_switches" in out
+    assert out.endswith("VERDICT: DISAGREE\n")
+    config = tmp_path / "delayswitch.conf"
+    config.write_text("max_time = 2\n")
+    code, out, _ = run_cli(capsys, "--config", str(config), "verify", "4/3")
+    assert code == 1 and "stopped by max_time" in out
 
 
 def test_max_time_flag_and_config_parse_alike(tmp_path, capsys):

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from delayswitch.analysis import alpha_closed, beta_closed, horizon_J
 from delayswitch.engine import (
@@ -129,16 +131,32 @@ def earliest_recurrence(states):
     return None
 
 
-def test_detect_period_earliest_pair():
-    # the reported cycle is the earliest exact recurrence of the full state
-    for tau in sample_taus():
-        out = run(tau)
-        if not isinstance(out, Periodic):
-            continue
-        i, m = out.start_switch, out.switchings_per_period
-        replay = simulate_switches(tau, i + 2 * m + 4).turning_points
-        assert earliest_recurrence(post_switch_states(replay, tau)) == (i, i + m)
-        assert out.least_period == replay[i + m - 1].beta - replay[i - 1].beta
+_DELAYS = st.one_of(
+    st.fractions(F(4, 3), F(3, 2), max_denominator=5000).filter(lambda tau: tau < F(3, 2)),
+    st.fractions(F(1), F(4, 3), max_denominator=300),
+    st.fractions(F(3, 2), F(3), max_denominator=300),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tau=_DELAYS, max_switches=st.sampled_from([40, 200]), max_time=st.sampled_from([25, 400]))
+@example(F(4, 3), 200, 400)
+@example(F(11, 8), 200, 400)
+@example(F(63, 43), 200, 400)
+@example(F(147, 100), 200, 400)
+@example(F(145, 99), 40, 25)
+@example(F(1, 2), 40, 25)
+def test_detect_period_earliest_pair(tau, max_switches, max_time):
+    # the reported cycle is the earliest exact recurrence of the full state;
+    # a run that ends otherwise shows no recurrence in its own turning points
+    out = run(tau, max_switches, max_time)
+    if not isinstance(out, Periodic):
+        assert earliest_recurrence(post_switch_states(out.trace.turning_points, tau)) is None
+        return
+    i, m = out.start_switch, out.switchings_per_period
+    replay = simulate_switches(tau, i + 2 * m + 4).turning_points
+    assert earliest_recurrence(post_switch_states(replay, tau)) == (i, i + m)
+    assert out.least_period == replay[i + m - 1].beta - replay[i - 1].beta
 
 
 def test_detect_period_distinguishes_offsets():

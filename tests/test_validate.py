@@ -182,6 +182,23 @@ def test_sweep_keeps_no_traces():
     assert current < 2**20
 
 
+def test_bare_tau_closed_form_check_runs_only_the_horizon(monkeypatch):
+    # the check reads switchings 1..J, so a bare tau simulates no further
+    asked = []
+    simulate = engine._simulate
+
+    def spy(tau, max_switches, *args, **kwargs):
+        asked.append(max_switches)
+        return simulate(tau, max_switches, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "_simulate", spy)
+    for tau in sweep_taus(3, 2) + [critical_value(CriticalKind.ZETA, 40)]:
+        asked.clear()
+        record = check_closed_form(tau)
+        assert record.agree, (tau, record.mismatches)
+        assert asked and max(asked) <= horizon_J(tau), tau
+
+
 def test_check_closed_form_horizon_beyond_j_200():
     # J is 2k+1 at tau_k and 2k+3 elsewhere in [tau_k, tau_{k+1})
     for k in (99, 130):
