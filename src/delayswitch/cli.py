@@ -75,15 +75,10 @@ def _setting(flag_value, config: dict[str, str], key: str, default, convert):
     return default if raw is None else convert(raw)
 
 
-def _limits(args, config, switch_count: int | None = None) -> tuple[int, Fraction]:
-    """The limits a flag or the config sets, else the engine's defaults raised
-    to cover a predicted ``switch_count``: a periodic run closes its first
-    cycle by switching count + 1, and a switching takes under two time units."""
-    n = 0 if switch_count is None else switch_count + 1
-    max_switches = max(engine.DEFAULT_MAX_SWITCHES, n)
-    max_time = max(engine.DEFAULT_MAX_TIME, Fraction(2 * n))
-    max_switches = _setting(args.max_switches, config, "max_switches", max_switches, int)
-    return max_switches, _setting(args.max_time, config, "max_time", max_time, rat_parse)
+def _limits(args, config) -> tuple[int | None, Fraction | None]:
+    """The limits a flag or the config sets; None leaves one to ``engine.run``."""
+    max_switches = _setting(args.max_switches, config, "max_switches", None, int)
+    return max_switches, _setting(args.max_time, config, "max_time", None, rat_parse)
 
 
 def _turning_doc(point: engine.TurningPoint) -> dict:
@@ -210,7 +205,7 @@ def _cmd_sweep(args, config) -> int:
 
 def _cmd_verify(args, config) -> int:
     tau = rat_parse(args.tau)
-    max_switches, max_time = _limits(args, config, analysis.classify(tau).switch_count)
+    max_switches, max_time = _limits(args, config)
     outcome = engine.run(tau, max_switches=max_switches, max_time=max_time)
     theorem = validate.check_theorem(tau, outcome)
     closed = validate.check_closed_form(tau, outcome)

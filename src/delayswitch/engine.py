@@ -7,8 +7,11 @@ the j-th turning point).  Between events the path is linear, so with a
 rational delay tau = p/q every event time and coordinate lies in (1/q)*Z.
 The event loop therefore runs on plain integers scaled by q (boundaries 0
 and q, delay p), which is exact without any gcd work.  A trace keeps those
-scaled rows; its ``Fraction`` events and turning points are built on first
-access, so checks that read the rows never pay for them.
+scaled rows; its ``Fraction`` events and turning points are each built from
+them on first access, so checks that read the rows never pay for them.
+``run`` sizes its own limits: in the paper's window it raises the defaults to
+cover the longest run the window can need, so every window delay ends
+Periodic or Divergent unless the caller sets a tighter limit.
 
 The complete Markov state is (slope, position, pending switch offsets):
 exact recurrence of that state across two switch instants certifies
@@ -28,26 +31,20 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
+from . import analysis
 from .exact import Rat
 
-LOW = Fraction(0)
-HIGH = Fraction(1)
-
 DEFAULT_MAX_SWITCHES = 10_000
-DEFAULT_MAX_TIME = Fraction(10_000)
+DEFAULT_MAX_TIME = 10_000
 
 
 @dataclass(frozen=True, slots=True)
 class TurningPoint:
-    """A switch instant beta with its position alpha = x(beta).
-
-    ``hit_time`` is the hit that scheduled the switch; beta - hit_time == tau
-    always (stored for audit).
-    """
+    """A switch instant beta with its position alpha = x(beta); beta lies
+    exactly tau after the hit that scheduled it."""
 
     beta: Rat
     alpha: Rat
-    hit_time: Rat
 
 
 @dataclass(frozen=True, slots=True)
@@ -63,7 +60,7 @@ class SimTrace:
 
     With tau = p/q each row (T, X, kind) is the event at time T/q and
     position X/q.  ``events`` and ``turning_points`` are their ``Fraction``
-    views, built together on first access.
+    views, each built from the rows on its own first access.
     """
 
     tau: Rat
@@ -74,37 +71,15 @@ class SimTrace:
         """Scaled (T, X) of every switch: the turning points times q."""
         return [(t, x) for t, x, kind in self.rows if kind == "switch"]
 
-    @property
+    @cached_property
     def events(self) -> tuple[TraceEvent, ...]:
-        return self._views[0]
-
-    @property
-    def turning_points(self) -> tuple[TurningPoint, ...]:
-        return self._views[1]
+        q = self.tau.denominator
+        return tuple(TraceEvent(Fraction(t, q), Fraction(x, q), kind) for t, x, kind in self.rows)
 
     @cached_property
-    def _views(self) -> tuple[tuple[TraceEvent, ...], tuple[TurningPoint, ...]]:
-        """Fraction events and turning points from the rows.
-
-        Hits sit on 0 or 1, and every switch at T was scheduled by the hit at
-        T - p, so each distinct instant is converted only once.
-        """
-        p, q = self.tau.numerator, self.tau.denominator
-        hit_at: dict[int, Fraction] = {}
-        events: list[TraceEvent] = []
-        points: list[TurningPoint] = []
-        for t, x, kind in self.rows:
-            if kind == "hit":
-                when = hit_at[t] = Fraction(t, q)
-                events.append(TraceEvent(when, HIGH if x else LOW, kind))
-                continue
-            when = hit_at.get(t)
-            if when is None:
-                when = Fraction(t, q)
-            where = Fraction(x, q)
-            events.append(TraceEvent(when, where, kind))
-            points.append(TurningPoint(when, where, hit_at[t - p]))
-        return tuple(events), tuple(points)
+    def turning_points(self) -> tuple[TurningPoint, ...]:
+        q = self.tau.denominator
+        return tuple(TurningPoint(Fraction(t, q), Fraction(x, q)) for t, x in self.switches)
 
 
 @dataclass(frozen=True)
@@ -140,12 +115,13 @@ Outcome = Periodic | Divergent | Undetermined
 
 def _simulate(
     tau: Rat,
-    max_switches: int,
-    max_time: Rat,
+    max_switches: int | None,
+    max_time: Rat | None,
     detect_period: bool,
 ) -> Outcome:
     """The event loop behind :func:`run` and :func:`simulate_switches`.
 
+    A limit left None is sized as :func:`run` describes, on the ints p and q.
     Works in units of 1/q for tau = p/q: the boundaries are 0 and q, the
     delay is p, and time T, position X and the pending switch times are
     ints.  ``due`` lists every switch time scheduled, the pending ones being
@@ -166,9 +142,17 @@ def _simulate(
         raise ValueError("tau must be positive")
     tau = Fraction(tau)
     p, q = tau.numerator, tau.denominator
-    max_time = Fraction(max_time)
-    # T * den >= num * q  <=>  T >= ceil(num * q / den), T being an int
-    t_cap = -(-max_time.numerator * q // max_time.denominator)
+    n = 0  # 4k + 6 for a window delay whose run sizes a limit
+    if (max_switches is None or max_time is None) and 4 * q <= 3 * p and 2 * p < 3 * q:
+        n = 4 * analysis._window_k(tau) + 6
+    if max_switches is None:
+        max_switches = max(DEFAULT_MAX_SWITCHES, n)
+    if max_time is None:
+        t_cap = max(DEFAULT_MAX_TIME, 2 * n) * q
+    else:
+        max_time = Fraction(max_time)
+        # T * den >= num * q  <=>  T >= ceil(num * q / den), T being an int
+        t_cap = -(-max_time.numerator * q // max_time.denominator)
     t = x = switches = head = 0
     slope = 1  # +1 exactly while the number of executed switches is even
     due = [p]  # every switch time scheduled, increasing; pending: due[head:]
@@ -236,16 +220,23 @@ def _simulate(
 
 def run(
     tau: Rat,
-    max_switches: int = DEFAULT_MAX_SWITCHES,
-    max_time: Rat = DEFAULT_MAX_TIME,
+    max_switches: int | None = None,
+    max_time: Rat | None = None,
 ) -> Outcome:
     """Simulate until the outcome is certain or the limits are reached.
 
     After every switch the state is checked for exact recurrence (Periodic)
     and for divergence; hitting max_switches or max_time first yields
-    Undetermined.  All arithmetic is exact.
+    Undetermined.  All arithmetic is exact.  A limit left None is 10,000
+    (switchings or time units), raised for tau_k <= tau < tau_{k+1} in
+    [4/3, 3/2) to 4k + 6 switchings and twice that in time: the paper's
+    counts (at most 4k + 2 per period, 4k + 5 before divergence) leave room
+    for the switchings before the cycle, and these runs take under two time
+    units per switching.  The bound reads only where tau lies, not the
+    predicted outcome, so a wrong bound can leave a run Undetermined but
+    never decide it.
     """
-    if max_switches <= 0 or max_time <= 0:
+    if (max_switches is not None and max_switches <= 0) or (max_time is not None and max_time <= 0):
         raise ValueError("limits must be positive")
     return _simulate(tau, max_switches, max_time, detect_period=True)
 

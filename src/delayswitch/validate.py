@@ -5,11 +5,11 @@ event simulation (engine), the closed-form predictions (analysis), and a
 deliberately low-tech fixed-step floating-point simulation.  The exact
 checks read one engine outcome: the caller that owns the limits runs
 ``engine.run`` once and hands the outcome to every check (a check given a
-bare tau runs it with the default limits).  The period certificate reads
-that outcome's rows, so no check simulates a second time.  ``sweep`` runs the
-classifier-vs-simulator comparison over every regime up to a chosen k and
-serializes the result as CSV or JSON; disagreements are report rows, never
-aborts.
+bare tau runs it with the limits ``engine.run`` sizes itself).  The period
+certificate reads that outcome's rows, so no check simulates a second time.
+``sweep`` runs the classifier-vs-simulator comparison over every regime up
+to a chosen k and serializes the result as CSV or JSON; disagreements are
+report rows, never aborts.
 
 Only the float oracle uses numpy, and it imports numpy on its first call,
 so importing the package and every exact check run without loading it.
@@ -72,7 +72,8 @@ def _simulated_behavior(outcome: engine.Outcome) -> tuple[str, int | None]:
 
 
 def _outcome_of(tau: Rat, outcome: engine.Outcome | None) -> engine.Outcome:
-    """The outcome a check reads: the given one, else a run with the default limits."""
+    """The outcome a check reads: the given one, else ``engine.run(tau)``,
+    whose limits cover every delay of the window."""
     if outcome is None:
         return engine.run(tau)
     if outcome.trace.tau != tau:
@@ -104,10 +105,11 @@ def periodicity_certificate(outcome: engine.Periodic) -> bool:
 def check_theorem(tau: Rat, outcome: engine.Outcome | None = None) -> TheoremCheck:
     """Compare the classifier's prediction with an exact simulation of tau.
 
-    ``outcome`` is that simulation (``engine.run(tau)`` when None).  Behavior
-    kind and switch count must match exactly; for periodic outcomes the
-    period certificate is confirmed as well.  An Undetermined simulation is
-    a disagreement with reason "horizon".
+    ``outcome`` is that simulation (``engine.run(tau)`` when None, which
+    runs long enough for any delay of the window).  Behavior kind and switch
+    count must match exactly; for periodic outcomes the period certificate is
+    confirmed as well.  An Undetermined simulation, which only a caller's
+    tighter limits leave, is a disagreement with reason "horizon".
     """
     prediction = analysis.classify(tau)
     if prediction.regime.kind is RegimeKind.OUT_OF_RANGE:
@@ -180,7 +182,8 @@ def float_oracle(tau: Rat, dt: float = 1e-6, t_end: float = 20.0) -> list[tuple[
 
     Refuses delays within 1000*dt of a critical value: floating point cannot
     resolve behavior that changes on exact rational equality.  Also refuses
-    delays shorter than one step.
+    delays shorter than one step, and a ``t_end`` that is not finite and
+    positive.
     """
     import numpy as np
 
@@ -189,6 +192,8 @@ def float_oracle(tau: Rat, dt: float = 1e-6, t_end: float = 20.0) -> list[tuple[
         raise ValueError("tau must be positive")
     if not 0 < dt <= 1e-6:
         raise ValueError("dt must be in (0, 1e-6]")
+    if not 0 < t_end < math.inf:
+        raise ValueError("t_end must be finite and positive")
     gap = analysis.distance_to_critical(tau)
     if gap < 1000 * Fraction(dt):
         raise OracleRefusal(
@@ -203,10 +208,11 @@ def float_oracle(tau: Rat, dt: float = 1e-6, t_end: float = 20.0) -> list[tuple[
     d_frac = delay - d_int
     if d_int < 1:  # a chunk spans d_int steps, so the loop below would never advance
         raise OracleRefusal(f"tau = {rat_format(tau)} is shorter than one step of dt = {dt!r}")
-    # Positions as blocks (first step, positions, origin, sum, increment): the
-    # history and blocks with a crossing keep positions; a steady block keeps
-    # its chunk's origin, the sum before it and its increment.
-    blocks = [(-d_int - 1, np.arange(-d_int - 1, 1, dtype=np.float64) * dt, 0.0, 0.0, 0.0)]
+    # Positions as blocks (first step, positions, origin, sum, increment):
+    # blocks with a crossing keep positions; a steady block keeps its chunk's
+    # origin, the sum before it and its increment; the history, x = step*dt,
+    # keeps no origin and is computed when read.
+    blocks = [(-d_int - 1, None, None, 0.0, dt)]
     turns: list[int] = []  # steps with a crossing: x is monotone between them
     slope = 1.0
     turning: list[tuple[float, float]] = []
@@ -284,6 +290,8 @@ def _positions(blocks: list[tuple], a: int, b: int) -> np.ndarray:
         last = min(b, blocks[i + 1][0] - 1 if i + 1 < len(blocks) else b)
         if xs is not None:
             parts.append(xs[a - first : last - first + 1])
+        elif origin is None:
+            parts.append(np.arange(a, last + 1, dtype=np.float64) * inc)
         else:
             sums = np.full(last - a + 1, inc)
             sums[0] += _advance(before, inc, a - first)
@@ -417,15 +425,16 @@ def sweep_taus(k_max: int, samples_per_interval: int) -> list[Rat]:
 def sweep(
     k_max: int,
     samples_per_interval: int = 3,
-    max_switches: int = engine.DEFAULT_MAX_SWITCHES,
-    max_time: Rat = engine.DEFAULT_MAX_TIME,
+    max_switches: int | None = None,
+    max_time: Rat | None = None,
 ) -> SweepReport:
     """Classifier-vs-simulation agreement across all six regimes up to k_max.
 
-    Agreement requires behavior kind and switch count to match exactly, and
-    a periodic run's certificate to hold.  Entries are reported in
-    increasing tau order; disagreements are rows, not errors, so a sweep
-    always completes.
+    Each delay runs once under the given limits, a limit left None being
+    sized by ``engine.run``.  Agreement requires behavior kind and switch
+    count to match exactly, and a periodic run's certificate to hold.
+    Entries are reported in increasing tau order; disagreements are rows,
+    not errors, so a sweep always completes.
     """
     entries = tuple(
         check_theorem(tau, engine.run(tau, max_switches, max_time))

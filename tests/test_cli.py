@@ -242,14 +242,20 @@ class _LastLine(io.TextIOBase):
         return len(text)
 
 
-def test_verify_sizes_unset_limits_from_the_prediction():
+def test_verify_and_simulate_answer_past_the_fixed_limits():
     # tau_2600 closes its first cycle at switching 10,403, near t = 10,404:
-    # past both engine defaults, so verify raises the limits no flag sets
+    # past 10,000 switchings and time units, so the engine raises the limits
+    # no flag sets, for every command
     tau = rat_format(critical_value(CriticalKind.TAU, 2600))
     sink = _LastLine()
     with contextlib.redirect_stdout(sink):
         code = main(["verify", tau])
     assert code == 0 and sink.tail.endswith("\nVERDICT: OK\n")
+    sink = _LastLine()
+    with contextlib.redirect_stdout(sink):
+        code = main(["simulate", tau])
+    # 66 MB of JSON: the period's 10,402 turning points, the last one back on 0
+    assert code == 0 and sink.tail.endswith('"alpha_decimal": "0.000000000000"\n    }\n  ]\n}\n')
 
 
 def test_verify_names_the_limit_that_stopped_an_undetermined_run(tmp_path, capsys):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from delayswitch.analysis import alpha_closed, beta_closed, horizon_J
+from delayswitch.analysis import CriticalKind, alpha_closed, beta_closed, critical_value, horizon_J
 from delayswitch.engine import (
     Divergent,
     Periodic,
@@ -16,6 +16,7 @@ from delayswitch.engine import (
     simulate_switches,
     trace_records,
 )
+from rowcheck import check_rows
 
 
 def random_tau_in_window(rng: random.Random) -> F:
@@ -33,8 +34,8 @@ def test_initial_hits_canonical():
     for tau in (F(7, 5), F(4, 3)):
         trace = run(tau).trace
         assert trace.events[0] == TraceEvent(F(0), F(0), "hit")
-        first = trace.turning_points[0]
-        assert (first.beta, first.hit_time) == (tau, 0)
+        assert trace.turning_points[0].beta == tau
+        assert check_rows(trace) is None  # so switch 1 is the hit at 0 delayed by tau
 
 
 # --- ray geometry ----------------------------------------------------------
@@ -109,14 +110,15 @@ def test_detect_divergence_cases():
 def post_switch_states(points, tau):
     """(slope, x, pending offsets) right after each switch, rebuilt from the
     turning points alone: the switches pending after switch n are the later
-    ones whose hit happened at or before beta_n.  Only switches at least tau
-    before the last one are returned, so that no pending switch is cut off."""
+    ones whose hit, tau before them, happened at or before beta_n.  Only
+    switches at least tau before the last one are returned, so that no
+    pending switch is cut off."""
     states = []
     for n, point in enumerate(points, start=1):
         if point.beta + tau > points[-1].beta:
             break
         offsets = tuple(
-            b.beta - point.beta for b in points[n:] if b.hit_time <= point.beta
+            b.beta - point.beta for b in points[n:] if b.beta - tau <= point.beta
         )
         states.append(((-1) ** n, point.alpha, offsets))
     return states
@@ -262,6 +264,17 @@ def test_limits_give_undetermined():
         run(F(0))
 
 
+def test_explicit_limits_keep_their_meaning_past_the_fixed_ones():
+    # tau_2600 needs 10,403 switchings and about 10,404 time units: the
+    # engine sizes a limit left unset, never one the caller gives
+    tau = critical_value(CriticalKind.TAU, 2600)
+    by_switches = run(tau, max_switches=10_000)
+    assert (by_switches.stopped_by, by_switches.switchings_executed) == ("max_switches", 10_000)
+    assert run(tau, max_time=10_000).stopped_by == "max_time"
+    # a float delay runs as the Fraction it equals
+    assert run(1.4) == run(F(1.4))
+
+
 def test_stopped_by_names_the_limit_that_fired():
     tau = F(89, 66)
     by_switches = run(tau, max_switches=5, max_time=F(1000))
@@ -293,8 +306,7 @@ def test_unit_speed_between_events():
 def test_delay_exactness_and_slope_parity():
     for tau in sample_taus():
         trace = run(tau).trace
-        for point in trace.turning_points:
-            assert point.beta - point.hit_time == tau
+        assert check_rows(trace) is None  # each switch lies tau after its hit
         switches = 0
         for a, b in zip(trace.events, trace.events[1:]):
             switches += a.kind == "switch"

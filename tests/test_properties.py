@@ -1,4 +1,5 @@
 """Property tests: the exact engine against the closed forms on random delays,
+its rows against the dynamics, its own limits against the old fixed ones,
 and the row period certificate against a replay of the engine.
 
 Delays are random rationals in [4/3, 3/2) with denominators up to 10^12,
@@ -19,8 +20,9 @@ from delayswitch.analysis import (
     critical_value,
     horizon_J,
 )
-from delayswitch.engine import Divergent, Periodic, run, simulate_switches
+from delayswitch.engine import Divergent, Periodic, SimTrace, run, simulate_switches
 from delayswitch.validate import periodicity_certificate
+from rowcheck import check_rows
 
 
 @st.composite
@@ -61,8 +63,7 @@ def test_engine_agrees_with_the_closed_forms(tau):
     assert len(points) <= hits  # each switch is scheduled by exactly one hit
     for a, b in zip(events, events[1:]):
         assert abs(b.x - a.x) == b.t - a.t  # unit speed between events
-    for point in points:
-        assert point.beta - point.hit_time == tau
+    assert check_rows(out.trace) is None  # each switch lies tau after its hit
 
 
 @settings(max_examples=100, deadline=None)
@@ -75,7 +76,7 @@ def test_fraction_views_equal_the_scaled_rows(tau, n_switches):
         assert (event.t, event.x, event.kind) == (F(t, q), F(x, q), kind)
     assert len(trace.turning_points) == len(trace.switches)
     for point, (t, x) in zip(trace.turning_points, trace.switches):
-        assert (point.beta, point.alpha, point.hit_time) == (F(t, q), F(x, q), F(t, q) - tau)
+        assert (point.beta, point.alpha) == (F(t, q), F(x, q))
 
 
 def replay_certificate(outcome: Periodic) -> bool:
@@ -103,3 +104,61 @@ def test_row_certificate_agrees_with_a_replay(tau):
     i, m = out.start_switch, out.switchings_per_period
     off = Periodic(out.least_period + F(1, tau.denominator), m, i, out.trace)
     assert not periodicity_certificate(off) and not replay_certificate(off)
+
+
+# delays inside the window and on both sides of it, run to the end or cut
+# short by a switch or time limit
+any_delays = st.one_of(
+    window_delays(),
+    critical_delays,
+    st.fractions(F(1, 5), F(5), max_denominator=2000).filter(lambda tau: tau > 0),
+)
+
+
+def _mutants(rows):
+    """Each row changed one way the engine never writes it: a switch moved
+    in time or position, a hit dropped (but for the last row, whose loss
+    leaves a shorter valid trace), a kind swapped."""
+    for n, (t, x, kind) in enumerate(rows[1:], start=1):
+        changed = [(t, x, "hit" if kind == "switch" else "switch")]
+        if kind == "switch":
+            changed += [(t + 1, x, kind), (t, x + 1, kind), (t - 1, x, kind)]
+        for row in changed:
+            yield rows[:n] + (row,) + rows[n + 1 :]
+        if kind == "hit" and n < len(rows) - 1:
+            yield rows[:n] + rows[n + 1 :]
+
+
+@settings(max_examples=150, deadline=None)
+@given(any_delays, st.sampled_from([None, 7, 60]), st.sampled_from([None, F(9, 2), 40]))
+def test_rows_obey_the_dynamics_and_no_mutant_does(tau, max_switches, max_time):
+    trace = run(tau, max_switches, max_time).trace
+    assert check_rows(trace) is None
+    assert check_rows(simulate_switches(tau, 30)) is None
+    for rows in _mutants(trace.rows[:120]):
+        assert check_rows(SimTrace(tau, rows)) is not None, rows
+    # the whole run moved in time, and the rows read with a delay 1/q longer
+    later = tuple((t + 1, x, kind) for t, x, kind in trace.rows)
+    assert check_rows(SimTrace(tau, later)) is not None
+    longer = tau + F(1, tau.denominator)
+    assert longer.denominator != tau.denominator or check_rows(SimTrace(longer, trace.rows))
+
+
+@st.composite
+def window_delays_up_to_k_64(draw) -> F:
+    """Delays of [tau_k, tau_{k+1}) for k <= 64: critical values and points
+    at a random fraction of the interval, every regime included."""
+    k = draw(st.integers(min_value=1, max_value=64))
+    kind = draw(st.sampled_from(CriticalKind))
+    lo, hi = critical_value(CriticalKind.TAU, k), critical_value(CriticalKind.TAU, k + 1)
+    where = draw(st.fractions(0, 1, max_denominator=10**6).filter(lambda s: s < 1))
+    return draw(st.sampled_from([critical_value(kind, k), lo + (hi - lo) * where]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(window_delays_up_to_k_64())
+def test_window_runs_up_to_k_64_keep_the_fixed_limits(tau):
+    # the sized limits stay at 10,000 switchings below k = 2,499 and 10,000
+    # in time below k = 1,249, so these runs (every one the benchmark makes)
+    # are the runs under the old fixed limits
+    assert run(tau) == run(tau, 10_000, 10_000)

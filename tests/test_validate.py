@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import random
 import subprocess
@@ -50,6 +51,15 @@ def test_check_theorem_theta_1_and_zeta_2():
     )
 
 
+def test_bare_check_theorem_answers_past_the_fixed_limits():
+    # tau_2600 cycles with 10,402 switchings per period and theta_5100
+    # diverges after 10,205, both past 10,000 switchings or time units
+    for kind, k, switches in ((CriticalKind.TAU, 2600, 10_402), (CriticalKind.THETA, 5100, 10_205)):
+        record = check_theorem(critical_value(kind, k))
+        assert (record.agree, record.reason) == (True, ""), kind
+        assert record.simulated_switches == record.prediction.switch_count == switches
+
+
 def test_check_theorem_horizon_reason():
     record = check_theorem(F(89, 66), engine.run(F(89, 66), max_switches=3))
     assert not record.agree
@@ -84,7 +94,8 @@ def test_checks_read_the_scaled_rows_without_building_views(monkeypatch):
     def refuse(self):
         raise AssertionError("Fraction views built")
 
-    monkeypatch.setattr(engine.SimTrace, "_views", property(refuse))
+    monkeypatch.setattr(engine.SimTrace, "events", property(refuse))
+    monkeypatch.setattr(engine.SimTrace, "turning_points", property(refuse))
     for tau in (F(63, 43), F(147, 100), F(16, 11)):
         outcome = engine.run(tau)
         record = check_theorem(tau, outcome)
@@ -93,8 +104,9 @@ def test_checks_read_the_scaled_rows_without_building_views(monkeypatch):
         if isinstance(outcome, engine.Periodic):
             assert periodicity_certificate(outcome)
         assert "&#945;3" in render_trajectory(outcome, label_indices=(1, 3))
-    with pytest.raises(AssertionError, match="views built"):
-        engine.run(F(16, 11)).trace.events
+    for view in ("events", "turning_points"):
+        with pytest.raises(AssertionError, match="views built"):
+            getattr(engine.run(F(16, 11)).trace, view)
 
 
 def _move_switch(trace, j):
@@ -229,6 +241,14 @@ def test_float_oracle_rejects_bad_dt():
         float_oracle(F(27, 20), dt=1e-3)
 
 
+def test_float_oracle_rejects_a_t_end_that_is_not_finite_and_positive():
+    # inf overflowed in round(), nan raised from it, and t_end <= 0 returned []
+    for t_end in (math.inf, math.nan, 0.0, -1.0, -math.inf):
+        with pytest.raises(ValueError, match="t_end must be finite and positive"):
+            float_oracle(F(1451, 1000), t_end=t_end)
+    assert float_oracle(F(1451, 1000), t_end=3.0)
+
+
 SHORT_DELAY = """
 from fractions import Fraction
 from delayswitch.validate import OracleRefusal, float_oracle
@@ -344,9 +364,10 @@ def test_float_oracle_memory_does_not_grow_with_t_end():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # about two delays' worth of samples (2 * 1.35e6 floats, 22 MB), not
-    # the 20e6 steps of the whole run (160 MB)
-    assert peak < 40 * 2**20
+    # blocks of 2^15 samples near a crossing (7 MB), not the history's
+    # delay's worth of samples (1.35e6 floats, 11 MB and a copy) nor the
+    # 20e6 steps of the whole run (160 MB)
+    assert peak < 12 * 2**20
 
 
 def test_sweep_endpoints_only():
