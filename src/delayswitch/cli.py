@@ -13,11 +13,10 @@ import argparse
 import json
 import os
 import sys
-import tempfile
 from fractions import Fraction
 
 from . import analysis, engine, render, validate
-from .exact import RatParseError, rat_format, rat_parse, rat_to_decimal
+from .exact import rat_format, rat_parse, rat_to_decimal
 
 DECIMAL_DIGITS = 12
 
@@ -30,8 +29,14 @@ EXIT_IO = 4
 _CONFIG_KEYS = {"max_switches", "max_time", "k_max", "samples", "width", "height"}
 
 
-def _dec(a: Fraction) -> str:
-    return rat_to_decimal(a, DECIMAL_DIGITS)
+def _exact_fields(name: str, value: Fraction) -> dict[str, str]:
+    """``name`` as exact "p/q" and ``name_decimal`` as its decimal companion."""
+    return {name: rat_format(value), f"{name}_decimal": rat_to_decimal(value, DECIMAL_DIGITS)}
+
+
+def _shown(value: Fraction) -> str:
+    """The same pair as text: "p/q (decimal)"."""
+    return f"{rat_format(value)} ({rat_to_decimal(value, DECIMAL_DIGITS)})"
 
 
 def _fail(message: str, code: int) -> int:
@@ -41,9 +46,11 @@ def _fail(message: str, code: int) -> int:
 
 def _atomic_write(path: str, data: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".delayswitch-")
+    tmp = os.path.join(directory, f".delayswitch-{os.urandom(8).hex()}")
+    # "x" creates the file as open(path, "w") would, with the umask's mode
+    fh = open(tmp, "x", encoding="utf-8")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+        with fh:
             fh.write(data)
         os.replace(tmp, path)
     except BaseException:
@@ -81,24 +88,20 @@ def _limits(args, config) -> tuple[int | None, Fraction | None]:
     return max_switches, _setting(args.max_time, config, "max_time", None, rat_parse)
 
 
+def _run(args, config) -> engine.Outcome:
+    """The engine's run of the command's tau under :func:`_limits`."""
+    tau = rat_parse(args.tau)
+    return engine.run(tau, *_limits(args, config))
+
+
 def _turning_doc(point: engine.TurningPoint) -> dict:
-    return {
-        "beta": rat_format(point.beta),
-        "beta_decimal": _dec(point.beta),
-        "alpha": rat_format(point.alpha),
-        "alpha_decimal": _dec(point.alpha),
-    }
+    return {**_exact_fields("beta", point.beta), **_exact_fields("alpha", point.alpha)}
 
 
-def _outcome_doc(tau: Fraction, outcome: engine.Outcome) -> dict:
-    doc = {
-        "tau": rat_format(tau),
-        "tau_decimal": _dec(tau),
-        "outcome": engine.behavior_label(outcome),
-    }
+def _outcome_doc(outcome: engine.Outcome) -> dict:
+    doc = {**_exact_fields("tau", outcome.trace.tau), "outcome": engine.behavior_label(outcome)}
     if isinstance(outcome, engine.Periodic):
-        doc["least_period"] = rat_format(outcome.least_period)
-        doc["least_period_decimal"] = _dec(outcome.least_period)
+        doc.update(_exact_fields("least_period", outcome.least_period))
         doc["switchings_per_period"] = outcome.switchings_per_period
         doc["start_switch"] = outcome.start_switch
         doc["turning_points"] = [_turning_doc(p) for p in outcome.turning_points]
@@ -115,11 +118,7 @@ def _outcome_doc(tau: Fraction, outcome: engine.Outcome) -> dict:
 def _cmd_classify(args, config) -> int:
     tau = rat_parse(args.tau)
     prediction = analysis.classify(tau)
-    doc = {
-        "tau": rat_format(tau),
-        "tau_decimal": _dec(tau),
-        "regime": prediction.regime.kind.value,
-    }
+    doc = {**_exact_fields("tau", tau), "regime": prediction.regime.kind.value}
     if prediction.regime.k is not None:
         doc["k"] = prediction.regime.k
         doc["behavior"] = prediction.behavior.value
@@ -129,13 +128,11 @@ def _cmd_classify(args, config) -> int:
 
 
 def _cmd_simulate(args, config) -> int:
-    tau = rat_parse(args.tau)
-    max_switches, max_time = _limits(args, config)
-    outcome = engine.run(tau, max_switches=max_switches, max_time=max_time)
-    doc = _outcome_doc(tau, outcome)
+    outcome = _run(args, config)
+    doc = _outcome_doc(outcome)
     if args.trace:
         trace_doc = {
-            "tau": rat_format(tau),
+            "tau": doc["tau"],
             "events": engine.trace_records(outcome.trace),
             "outcome": doc,
         }
@@ -166,7 +163,7 @@ def _cmd_critical(args, config) -> int:
                 "kind": args.kind,
                 "k": k,
                 "exact": rat_format(value),
-                "decimal": _dec(value),
+                "decimal": rat_to_decimal(value, DECIMAL_DIGITS),
                 "interleaving_ok": _interleaving_ok(k),
             }
         )
@@ -204,13 +201,12 @@ def _cmd_sweep(args, config) -> int:
 
 
 def _cmd_verify(args, config) -> int:
-    tau = rat_parse(args.tau)
-    max_switches, max_time = _limits(args, config)
-    outcome = engine.run(tau, max_switches=max_switches, max_time=max_time)
+    outcome = _run(args, config)
+    tau = outcome.trace.tau
     theorem = validate.check_theorem(tau, outcome)
     closed = validate.check_closed_form(tau, outcome)
     prediction = theorem.prediction
-    print(f"tau = {rat_format(tau)} ({_dec(tau)})")
+    print(f"tau = {_shown(tau)}")
     print(
         f"classifier: {prediction.regime.kind.value} (k={prediction.regime.k}) -> "
         f"{prediction.behavior.value}, {prediction.switch_count} switchings"
@@ -225,27 +221,19 @@ def _cmd_verify(args, config) -> int:
     closed_msg = "OK" if closed.agree else "FAIL (" + "; ".join(closed.mismatches) + ")"
     print(f"closed forms up to J={closed.horizon}: {closed_msg}")
     if isinstance(outcome, engine.Periodic):
-        print(
-            f"least period {rat_format(outcome.least_period)} "
-            f"({_dec(outcome.least_period)}); turning points over one period:"
-        )
+        print(f"least period {_shown(outcome.least_period)}; turning points over one period:")
         points = outcome.turning_points
     else:
         print("turning points:")
         points = outcome.trace.turning_points
     for j, point in enumerate(points, start=1):
-        print(
-            f"  j={j}: beta = {rat_format(point.beta)} ({_dec(point.beta)}), "
-            f"alpha = {rat_format(point.alpha)} ({_dec(point.alpha)})"
-        )
+        print(f"  j={j}: beta = {_shown(point.beta)}, alpha = {_shown(point.alpha)}")
     ok = theorem.agree and closed.agree
     print(f"VERDICT: {'OK' if ok else 'DISAGREE'}")
     return EXIT_OK if ok else EXIT_DISAGREE
 
 
 def _cmd_render(args, config) -> int:
-    tau = rat_parse(args.tau)
-    max_switches, max_time = _limits(args, config)
     width = _setting(args.width, config, "width", render.DEFAULT_WIDTH, int)
     height = _setting(args.height, config, "height", render.DEFAULT_HEIGHT, int)
     labels: list[int] = []
@@ -254,9 +242,8 @@ def _cmd_render(args, config) -> int:
             labels.append(int(piece))
         except ValueError:
             raise ValueError(f"--labels: {piece.strip()!r} is not an integer") from None
-    outcome = engine.run(tau, max_switches=max_switches, max_time=max_time)
     svg = render.render_trajectory(
-        outcome, width=width, height=height, label_indices=labels, title=args.title
+        _run(args, config), width=width, height=height, label_indices=labels, title=args.title
     )
     if args.out:
         _atomic_write(args.out, svg)
@@ -277,15 +264,16 @@ def _build_parser() -> argparse.ArgumentParser:
         "--config", help="key=value defaults file (explicit flags override it)"
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    limits = argparse.ArgumentParser(add_help=False)
+    limits.add_argument("--max-switches", type=int, default=None)
+    limits.add_argument("--max-time", default=None, help='time limit, "p/q" or decimal')
 
     p = sub.add_parser("classify", help="regime and prediction for a delay")
     p.add_argument("tau", help='delay as "p/q" or a finite decimal')
     p.set_defaults(func=_cmd_classify)
 
-    p = sub.add_parser("simulate", help="exact simulation of a delay")
+    p = sub.add_parser("simulate", parents=[limits], help="exact simulation of a delay")
     p.add_argument("tau")
-    p.add_argument("--max-switches", type=int, default=None)
-    p.add_argument("--max-time", default=None, help='time limit, "p/q" or decimal')
     p.add_argument("--trace", help="write the full event trace to this JSON file")
     p.set_defaults(func=_cmd_simulate)
 
@@ -296,30 +284,26 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.set_defaults(func=_cmd_critical)
 
-    p = sub.add_parser("sweep", help="classifier-vs-simulation sweep over regimes")
+    p = sub.add_parser(
+        "sweep", parents=[limits], help="classifier-vs-simulation sweep over regimes"
+    )
     p.add_argument("--k-max", type=int, default=None)
     p.add_argument("--samples", type=int, default=None, help="samples per open interval")
     p.add_argument("--out", help="write the report to this file")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--max-switches", type=int, default=None)
-    p.add_argument("--max-time", default=None)
     p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("verify", help="full cross-check for one delay")
+    p = sub.add_parser("verify", parents=[limits], help="full cross-check for one delay")
     p.add_argument("tau")
-    p.add_argument("--max-switches", type=int, default=None)
-    p.add_argument("--max-time", default=None)
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("render", help="render the simulated trajectory as SVG")
+    p = sub.add_parser("render", parents=[limits], help="render the simulated trajectory as SVG")
     p.add_argument("tau")
     p.add_argument("--out", help="output SVG path (stdout when omitted)")
     p.add_argument("--width", type=int, default=None)
     p.add_argument("--height", type=int, default=None)
     p.add_argument("--labels", help="comma-separated 1-based turning points to label")
     p.add_argument("--title", default=None)
-    p.add_argument("--max-switches", type=int, default=None)
-    p.add_argument("--max-time", default=None)
     p.set_defaults(func=_cmd_render)
     return parser
 
@@ -345,14 +329,7 @@ def _main(argv: list[str] | None) -> int:
         return int(exc.code or 0)
     try:
         config = _read_config(args.config) if args.config else {}
-    except OSError as exc:
-        return _fail(str(exc), EXIT_IO)
-    except ValueError as exc:
-        return _fail(str(exc), EXIT_USAGE)
-    try:
         return args.func(args, config)
-    except RatParseError as exc:
-        return _fail(str(exc), EXIT_USAGE)
     except ValueError as exc:
         return _fail(str(exc), EXIT_USAGE)
     except OSError as exc:

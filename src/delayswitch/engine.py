@@ -136,8 +136,11 @@ def _simulate(
     (switch number, T, head, len(due)) of the states seen there, whose
     offsets are compared only when the pair repeats.  An empty queue with
     the ray pointing away from both boundaries ends the run as Divergent;
-    the limits end it as Undetermined.
+    the limits end it as Undetermined, and a limit of zero or less raises
+    ValueError.
     """
+    if (max_switches is not None and max_switches <= 0) or (max_time is not None and max_time <= 0):
+        raise ValueError("limits must be positive")
     if tau <= 0:
         raise ValueError("tau must be positive")
     tau = Fraction(tau)
@@ -160,11 +163,10 @@ def _simulate(
     seen: dict[tuple[int, int], list[tuple[int, int, int, int]]] = {}
     while True:
         if head == len(due) and (x < 0 if slope < 0 else x > q):
-            result = (Divergent, slope)
-            break
+            return Divergent(slope, switches, SimTrace(tau, tuple(events)))
         if switches >= max_switches or t >= t_cap:
-            result = (Undetermined, "max_switches" if switches >= max_switches else "max_time")
-            break
+            stopped_by = "max_switches" if switches >= max_switches else "max_time"
+            return Undetermined(switches, SimTrace(tau, tuple(events)), stopped_by)
         if slope > 0:
             hit = t - x if x < 0 else (t + q - x if x < q else None)
         else:
@@ -200,22 +202,14 @@ def _simulate(
                 offsets = [d - t for d in due[head:]]
                 same = [e for e in entries if [d - e[1] for d in due[e[2] : e[3]]] == offsets]
                 if same:
-                    result = (Periodic, same[0])
-                    break
+                    i, t_i, _, _ = same[0]
+                    return Periodic(
+                        least_period=Fraction(t - t_i, q),
+                        switchings_per_period=switches - i,
+                        start_switch=i,
+                        trace=SimTrace(tau, tuple(events)),
+                    )
                 entries.append(entry)
-    trace = SimTrace(tau, tuple(events))
-    kind, value = result
-    if kind is Undetermined:
-        return Undetermined(switches, trace, value)
-    if kind is Divergent:
-        return Divergent(value, switches, trace)
-    i, t_i, _, _ = value
-    return Periodic(
-        least_period=Fraction(t - t_i, q),
-        switchings_per_period=switches - i,
-        start_switch=i,
-        trace=trace,
-    )
 
 
 def run(
@@ -236,8 +230,6 @@ def run(
     predicted outcome, so a wrong bound can leave a run Undetermined but
     never decide it.
     """
-    if (max_switches is not None and max_switches <= 0) or (max_time is not None and max_time <= 0):
-        raise ValueError("limits must be positive")
     return _simulate(tau, max_switches, max_time, detect_period=True)
 
 

@@ -4,12 +4,13 @@ Three independent routes to the same answers are compared here: the exact
 event simulation (engine), the closed-form predictions (analysis), and a
 deliberately low-tech fixed-step floating-point simulation.  The exact
 checks read one engine outcome: the caller that owns the limits runs
-``engine.run`` once and hands the outcome to every check (a check given a
-bare tau runs it with the limits ``engine.run`` sizes itself).  The period
-certificate reads that outcome's rows, so no check simulates a second time.
-``sweep`` runs the classifier-vs-simulator comparison over every regime up
-to a chosen k and serializes the result as CSV or JSON; disagreements are
-report rows, never aborts.
+``engine.run`` once and hands the outcome to every check.  Given a bare tau,
+``check_theorem`` runs ``engine.run(tau)``, whose limits cover the window,
+and ``check_closed_form`` runs only the J = ``horizon_J(tau)`` switchings it
+reads.  The period certificate reads that outcome's rows, so no check
+simulates a second time.  ``sweep`` runs the classifier-vs-simulator
+comparison over every regime up to a chosen k and serializes the result as
+CSV or JSON; disagreements are report rows, never aborts.
 
 Only the float oracle uses numpy, and it imports numpy on its first call,
 so importing the package and every exact check run without loading it.
@@ -348,32 +349,31 @@ class SweepReport:
     def all_agree(self) -> bool:
         return self.disagreements == 0
 
+    def _rows(self) -> list[dict]:
+        """Each entry's fields, in the order of the JSON and CSV reports."""
+        return [
+            {
+                "tau": rat_format(e.tau),
+                "regime": e.prediction.regime.kind.value,
+                "k": e.prediction.regime.k,
+                "predicted_behavior": e.prediction.behavior.value,
+                "predicted_switches": e.prediction.switch_count,
+                "simulated_behavior": e.simulated_behavior,
+                "simulated_switches": e.simulated_switches,
+                "agree": e.agree,
+            }
+            for e in self.entries
+        ]
+
     def to_csv(self) -> str:
+        """The rows without ``k``; an empty cell for missing switches."""
+        columns = ("tau", "regime", "predicted_behavior", "predicted_switches",
+                   "simulated_behavior", "simulated_switches", "agree")
         out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(
-            [
-                "tau",
-                "regime",
-                "predicted_behavior",
-                "predicted_switches",
-                "simulated_behavior",
-                "simulated_switches",
-                "agree",
-            ]
-        )
-        for e in self.entries:
-            writer.writerow(
-                [
-                    rat_format(e.tau),
-                    e.prediction.regime.kind.value,
-                    e.prediction.behavior.value,
-                    e.prediction.switch_count,
-                    e.simulated_behavior,
-                    "" if e.simulated_switches is None else e.simulated_switches,
-                    "true" if e.agree else "false",
-                ]
-            )
+        writer = csv.DictWriter(out, columns, extrasaction="ignore", lineterminator="\n")
+        writer.writeheader()
+        for row in self._rows():
+            writer.writerow({**row, "agree": "true" if row["agree"] else "false"})
         return out.getvalue()
 
     def to_json(self) -> str:
@@ -383,19 +383,7 @@ class SweepReport:
             "total": len(self.entries),
             "agreements": self.agreements,
             "all_agree": self.all_agree,
-            "entries": [
-                {
-                    "tau": rat_format(e.tau),
-                    "regime": e.prediction.regime.kind.value,
-                    "k": e.prediction.regime.k,
-                    "predicted_behavior": e.prediction.behavior.value,
-                    "predicted_switches": e.prediction.switch_count,
-                    "simulated_behavior": e.simulated_behavior,
-                    "simulated_switches": e.simulated_switches,
-                    "agree": e.agree,
-                }
-                for e in self.entries
-            ],
+            "entries": self._rows(),
         }
         return json.dumps(doc, indent=2) + "\n"
 

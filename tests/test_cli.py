@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import stat
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -189,6 +190,32 @@ def test_sweep_stdout_and_file(tmp_path, capsys):
     assert json.loads(out)["all_agree"] is True
 
 
+def test_sweep_limits_from_a_flag_or_the_config_reach_every_run(tmp_path, capsys):
+    config = tmp_path / "delayswitch.conf"
+    config.write_text("max_switches = 3\n")
+    argv = ("sweep", "--k-max", "1", "--samples", "0")
+    by_flag = run_cli(capsys, *argv, "--max-switches", "3")
+    assert by_flag == run_cli(capsys, "--config", str(config), *argv)
+    for code, out, err in (by_flag, run_cli(capsys, *argv, "--max-time", "1")):
+        rows = out.splitlines()[1:]
+        assert (code, err, len(rows)) == (1, "", 3)
+        assert all(row.endswith(",undetermined,,false") for row in rows)
+
+
+@pytest.mark.parametrize("flag", ["--max-switches", "--max-time"])
+@pytest.mark.parametrize(
+    "argv",
+    [("simulate", "4/3"), ("verify", "4/3"), ("render", "4/3"), ("sweep", "--k-max", "1")],
+    ids=lambda argv: argv[0],
+)
+def test_every_simulating_command_takes_both_limit_flags(argv, flag, capsys):
+    code, _, err = run_cli(capsys, *argv, flag, "1000")
+    assert (code, err) == (0, "")
+    # the value reaches the engine, which refuses a limit of zero
+    code, out, err = run_cli(capsys, *argv, flag, "0")
+    assert (code, out, err) == (2, "", "delayswitch: limits must be positive\n")
+
+
 def test_verify_ok(capsys):
     code, out, _ = run_cli(capsys, "verify", "145/99")
     assert code == 0
@@ -327,6 +354,23 @@ def test_render_refuses_label_indices_outside_the_turning_points(capsys):
     assert code == 2 and out == "" and "--labels: 'x' is not an integer" in err
     code, out, _ = run_cli(capsys, "render", "4/3", "--labels", "1,7")
     assert code == 0 and "&#945;7" in out
+
+
+def test_output_files_take_their_mode_from_the_umask(tmp_path, capsys):
+    outputs = {
+        "fig.svg": ("render", "4/3", "--out"),
+        "trace.json": ("simulate", "4/3", "--trace"),
+        "sweep.csv": ("sweep", "--k-max", "1", "--samples", "0", "--out"),
+    }
+    old = os.umask(0o022)
+    try:
+        for name, argv in outputs.items():
+            assert run_cli(capsys, *argv, str(tmp_path / name))[0] == 0
+    finally:
+        os.umask(old)
+    # as open(path, "w") creates them, and no temporary file is left behind
+    modes = {path.name: stat.S_IMODE(path.stat().st_mode) for path in tmp_path.iterdir()}
+    assert modes == dict.fromkeys(outputs, 0o644)
 
 
 def test_config_defaults_and_override(tmp_path, capsys):

@@ -264,6 +264,14 @@ def test_limits_give_undetermined():
         run(F(0))
 
 
+def test_simulate_switches_refuses_non_positive_limits_as_run_does():
+    for limits in ((0,), (-3,), (5, 0)):
+        with pytest.raises(ValueError, match="limits must be positive"):
+            simulate_switches(F(89, 66), *limits)
+        with pytest.raises(ValueError, match="limits must be positive"):
+            run(F(89, 66), *limits)
+
+
 def test_explicit_limits_keep_their_meaning_past_the_fixed_ones():
     # tau_2600 needs 10,403 switchings and about 10,404 time units: the
     # engine sizes a limit left unset, never one the caller gives

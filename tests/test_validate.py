@@ -407,6 +407,15 @@ def test_sweep_agrees_and_serializes():
     assert report.to_json() == sweep(2, 1).to_json()
 
 
+def test_sweep_limits_reach_every_run():
+    for limits in ({"max_switches": 3}, {"max_time": F(1)}):
+        report = sweep(1, 0, **limits)
+        assert (len(report.entries), report.agreements) == (3, 0)
+        assert {(e.simulated_behavior, e.reason) for e in report.entries} == {
+            ("undetermined", "horizon")
+        }
+
+
 def test_sweep_validates_arguments():
     with pytest.raises(ValueError):
         sweep_taus(0, 1)
