@@ -17,9 +17,9 @@ behavior together with the exact switching count.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import NamedTuple
 
 from .exact import Rat
 
@@ -48,14 +48,12 @@ class Behavior(Enum):
     DIVERGENT_MINUS_INF = "divergent_minus_inf"
 
 
-@dataclass(frozen=True)
-class Regime:
+class Regime(NamedTuple):
     kind: RegimeKind
     k: int | None = None
 
 
-@dataclass(frozen=True)
-class Prediction:
+class Prediction(NamedTuple):
     """Regime of a delay plus the behavior and switch count it dictates.
 
     ``switch_count`` is per least period when periodic, total before

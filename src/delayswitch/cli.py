@@ -4,7 +4,8 @@ Rational inputs and outputs use the exact "p/q" text form everywhere; JSON
 output pairs every exact field with a 12-digit decimal companion for human
 consumption (machine consumers must use the exact field).  Output files are
 written atomically.  Exit codes: 0 success, 1 disagreement (sweep/verify),
-2 usage or domain error, 3 undetermined simulation, 4 I/O failure.
+2 usage or domain error, 3 undetermined simulation, 4 I/O failure, 141 a
+closed stdout (128 + SIGPIPE, as a shell reports a writer the signal ends).
 """
 
 from __future__ import annotations
@@ -329,9 +330,15 @@ def _main(argv: list[str] | None) -> int:
         return int(exc.code or 0)
     try:
         config = _read_config(args.config) if args.config else {}
-        return args.func(args, config)
+        code = args.func(args, config)
+        sys.stdout.flush()  # so that a closed stdout fails here, not at exit
+        return code
     except ValueError as exc:
         return _fail(str(exc), EXIT_USAGE)
+    except BrokenPipeError:
+        # the reader left: say nothing, and let the final flush write nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except OSError as exc:
         return _fail(str(exc), EXIT_IO)
 

@@ -27,9 +27,9 @@ the hit at t = 0, so the engine takes no history.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 from . import analysis
 from .exact import Rat
@@ -38,8 +38,7 @@ DEFAULT_MAX_SWITCHES = 10_000
 DEFAULT_MAX_TIME = 10_000
 
 
-@dataclass(frozen=True, slots=True)
-class TurningPoint:
+class TurningPoint(NamedTuple):
     """A switch instant beta with its position alpha = x(beta); beta lies
     exactly tau after the hit that scheduled it."""
 
@@ -47,24 +46,25 @@ class TurningPoint:
     alpha: Rat
 
 
-@dataclass(frozen=True, slots=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     t: Rat
     x: Rat
     kind: str  # "hit" | "switch"; coinciding instants produce one of each
 
 
-@dataclass(frozen=True)
-class SimTrace:
+class _TraceFields(NamedTuple):
+    tau: Rat
+    rows: tuple[tuple[int, int, str], ...]
+
+
+class SimTrace(_TraceFields):
     """The events of one run as the loop's scaled rows.
 
     With tau = p/q each row (T, X, kind) is the event at time T/q and
     position X/q.  ``events`` and ``turning_points`` are their ``Fraction``
-    views, each built from the rows on its own first access.
+    views, each built from the rows on its own first access and kept in the
+    instance ``__dict__`` this subclass adds to the named tuple.
     """
-
-    tau: Rat
-    rows: tuple[tuple[int, int, str], ...]
 
     @property
     def switches(self) -> list[tuple[int, int]]:
@@ -82,8 +82,7 @@ class SimTrace:
         return tuple(TurningPoint(Fraction(t, q), Fraction(x, q)) for t, x in self.switches)
 
 
-@dataclass(frozen=True)
-class Periodic:
+class Periodic(NamedTuple):
     least_period: Rat
     switchings_per_period: int
     start_switch: int  # i, 1-based: first switch of the recurring cycle
@@ -96,15 +95,13 @@ class Periodic:
         return self.trace.turning_points[i - 1 : i - 1 + self.switchings_per_period]
 
 
-@dataclass(frozen=True)
-class Divergent:
+class Divergent(NamedTuple):
     direction: int  # -1: x -> -inf, +1: x -> +inf
     total_switchings: int
     trace: SimTrace
 
 
-@dataclass(frozen=True)
-class Undetermined:
+class Undetermined(NamedTuple):
     switchings_executed: int
     trace: SimTrace
     stopped_by: str = "max_switches"  # the limit that ended the run, or "max_time"

@@ -23,9 +23,8 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import analysis, engine
 from .analysis import Behavior, CriticalKind, Prediction, RegimeKind
@@ -39,8 +38,7 @@ class OracleRefusal(ValueError):
     """The float oracle cannot resolve the requested delay."""
 
 
-@dataclass(frozen=True)
-class TheoremCheck:
+class TheoremCheck(NamedTuple):
     """Agreement record between the classifier and one exact simulation."""
 
     tau: Rat
@@ -52,8 +50,7 @@ class TheoremCheck:
     certificate_ok: bool | None  # None unless the simulation agrees and is periodic
 
 
-@dataclass(frozen=True)
-class ClosedFormCheck:
+class ClosedFormCheck(NamedTuple):
     """Agreement record between closed forms and one exact simulation."""
 
     tau: Rat
@@ -331,8 +328,7 @@ def _advance(s: float, c: float, n: int) -> float:
     return s
 
 
-@dataclass(frozen=True)
-class SweepReport:
+class SweepReport(NamedTuple):
     k_max: int
     samples_per_interval: int
     entries: tuple[TheoremCheck, ...]

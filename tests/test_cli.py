@@ -414,6 +414,34 @@ def test_usage_error_exit_code():
     assert proc.returncode == 2
 
 
+def test_a_closed_stdout_ends_the_call_quietly_with_141():
+    # about 630 kB of rows, far past the 64 KiB a pipe buffers, so the
+    # call is still writing when the reader closes its end
+    argv = ["critical", "--kind", "tau", "--k-from", "1", "--k-to", "1000"]
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "delayswitch", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.readline() == b"kind,k,exact,decimal,interleaving_ok\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 141
+    assert err == b""
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # each CLI call is a cold process, and these two cost it about 16 ms
+    script = "import sys, delayswitch.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 COLD_START = """
 import os, sys
 import delayswitch
