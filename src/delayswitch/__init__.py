@@ -18,12 +18,10 @@ from .analysis import (
     Regime,
     RegimeKind,
     alpha_closed,
-    alpha_from_beta,
     beta_closed,
     beta_recurrence,
     classify,
     critical_value,
-    distance_to_critical,
     horizon_J,
 )
 from .engine import (
@@ -37,7 +35,6 @@ from .engine import (
     behavior_label,
     run,
     simulate_switches,
-    trace_records,
 )
 from .exact import Rat, RatParseError, rat_format, rat_parse, rat_to_decimal
 from .render import render_trajectory
@@ -51,7 +48,6 @@ from .validate import (
     float_oracle,
     periodicity_certificate,
     sweep,
-    sweep_taus,
 )
 
 __version__ = "0.1.0"

@@ -77,14 +77,24 @@ def critical_value(kind: CriticalKind, k: int) -> Rat:
     return Fraction(3 * (2 * p - 1), 4 * p - 1)
 
 
-def _window_k(tau: Rat) -> int:
-    """The k with tau_k <= tau < tau_{k+1}, for tau = a/b in [4/3, 3/2).
+def window_k(tau: Rat) -> int | None:
+    """The k with tau_k <= tau < tau_{k+1}, or None unless tau = a/b lies in
+    [4/3, 3/2), that is unless 4b <= 3a and 2a < 3b.
 
     tau_k <= a/b  <=>  4^k * (3b - 2a) <= a  <=>  4^k <= a // (3b - 2a),
     so k is the floor of log4 of that quotient, read off its bit length.
     """
     a, b = tau.numerator, tau.denominator
-    return ((a // (3 * b - 2 * a)).bit_length() - 1) // 2
+    if 4 * b <= 3 * a and 2 * a < 3 * b:
+        return ((a // (3 * b - 2 * a)).bit_length() - 1) // 2
+    return None
+
+
+def critical_neighbours(k: int) -> tuple[Rat, Rat, Rat, Rat]:
+    """(tau_k, theta_k, zeta_k, tau_{k+1}), in increasing order: the critical
+    delays that split window k into its six regimes."""
+    tau_k, theta_k, zeta_k = (critical_value(kind, k) for kind in CriticalKind)
+    return tau_k, theta_k, zeta_k, critical_value(CriticalKind.TAU, k + 1)
 
 
 def distance_to_critical(tau: Rat) -> Rat:
@@ -96,25 +106,18 @@ def distance_to_critical(tau: Rat) -> Rat:
     tau = Fraction(tau)
     if tau >= SUP:
         return tau - SUP
-    if tau <= TAU_LOW:
+    k = window_k(tau)
+    if k is None:  # below the window
         return TAU_LOW - tau
-    k = _window_k(tau)
-    neighbours = [critical_value(kind, k) for kind in CriticalKind]
-    neighbours.append(critical_value(CriticalKind.TAU, k + 1))
-    return min(abs(c - tau) for c in neighbours)
-
-
-def closed_coefficients(j: int) -> tuple[int, int, int, int]:
-    """Integers (a, b, c, d) with beta_j = a*tau + b and alpha_j = c*tau + d,
-    so that with tau = p/q, q*beta_j = a*p + b*q and q*alpha_j = c*p + d*q."""
-    return next(closed_coefficient_rows(j))
+    return min(abs(c - tau) for c in critical_neighbours(k))
 
 
 def closed_coefficient_rows(j: int = 1) -> Iterator[tuple[int, int, int, int]]:
-    """closed_coefficients(j), closed_coefficients(j + 1), ... without end,
-    stepping u = (-2)^(j-1) and v = 2^(j-1) from row to row: the docstring
-    formulas read a = (6j + 1 + 2u)/9, b = (1 - u)/3, c = (2v + (-1)^(j+1))/3
-    and d = 1 - v."""
+    """Integers (a, b, c, d) with beta_j = a*tau + b and alpha_j = c*tau + d
+    (so q*beta_j = a*p + b*q and q*alpha_j = c*p + d*q for tau = p/q), for j,
+    j + 1, ... without end.  Stepping u = (-2)^(j-1) and v = 2^(j-1) from row
+    to row, the docstring formulas of beta_closed and alpha_closed read
+    a = (6j + 1 + 2u)/9, b = (1 - u)/3, c = (2v + (-1)^(j+1))/3, d = 1 - v."""
     if j < 1:
         raise ValueError("j must be >= 1")
     u, v = (-2) ** (j - 1), 2 ** (j - 1)
@@ -128,7 +131,7 @@ def beta_closed(j: int, tau: Rat) -> Rat:
 
     beta_j = (6j + 1 - (-2)^j)/9 * tau - ((-2)^(j-1) - 1)/3.
     """
-    a, b, _, _ = closed_coefficients(j)
+    a, b, _, _ = next(closed_coefficient_rows(j))
     return a * Fraction(tau) + b
 
 
@@ -146,24 +149,12 @@ def beta_recurrence(j_max: int, tau: Rat) -> list[Rat]:
     return out
 
 
-def alpha_from_beta(j: int, tau: Rat, betas: list[Rat]) -> Rat:
-    """Turning value from consecutive switch instants:
-
-    alpha_j = 1 + (-1)^j * [tau - 2*(beta_j - beta_{j-1})],  j >= 2.
-    """
-    if j < 2:
-        raise ValueError("j must be >= 2")
-    if len(betas) < j:
-        raise ValueError(f"betas must contain beta_{j - 1} and beta_{j}")
-    return 1 + (-1) ** j * (tau - 2 * (betas[j - 1] - betas[j - 2]))
-
-
 def alpha_closed(j: int, tau: Rat) -> Rat:
     """Closed form for the j-th turning value (valid while j <= horizon_J):
 
     alpha_j = (2^j - (-1)^j)/3 * tau - 2^(j-1) + 1.
     """
-    _, _, c, d = closed_coefficients(j)
+    _, _, c, d = next(closed_coefficient_rows(j))
     return c * Fraction(tau) + d
 
 
@@ -177,10 +168,10 @@ def horizon_J(tau: Rat) -> int:
     tau > tau_m, so with tau_k <= tau < tau_{k+1} J is 2k+1 at tau_k and
     2k+3 elsewhere.
     """
-    if not TAU_LOW <= tau < SUP:
-        raise ValueError("horizon_J requires tau in [4/3, 3/2)")
     tau = Fraction(tau)
-    k = _window_k(tau)
+    k = window_k(tau)
+    if k is None:
+        raise ValueError("horizon_J requires tau in [4/3, 3/2)")
     return 2 * k + 1 if tau == critical_value(CriticalKind.TAU, k) else 2 * k + 3
 
 
@@ -204,10 +195,10 @@ def classify(tau: Rat) -> Prediction:
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
-    if tau < TAU_LOW or tau >= SUP:
-        return _OUT_OF_RANGE
     tau = Fraction(tau)
-    k = _window_k(tau)
+    k = window_k(tau)
+    if k is None:
+        return _OUT_OF_RANGE
     periodic, diverges = Behavior.PERIODIC, Behavior.DIVERGENT_MINUS_INF
     if tau == critical_value(CriticalKind.TAU, k):
         return Prediction(Regime(RegimeKind.AT_TAU, k), periodic, 4 * k + 2)

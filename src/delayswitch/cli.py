@@ -134,7 +134,8 @@ def _cmd_simulate(args, config) -> int:
     if args.trace:
         trace_doc = {
             "tau": doc["tau"],
-            "events": engine.trace_records(outcome.trace),
+            "events": [{"t": rat_format(t), "x": rat_format(x), "kind": kind}
+                       for t, x, kind in outcome.trace.events],
             "outcome": doc,
         }
         _atomic_write(args.trace, json.dumps(trace_doc, indent=2) + "\n")
@@ -145,11 +146,8 @@ def _cmd_simulate(args, config) -> int:
 
 
 def _interleaving_ok(k: int) -> bool:
-    tau_k = analysis.critical_value(analysis.CriticalKind.TAU, k)
-    theta_k = analysis.critical_value(analysis.CriticalKind.THETA, k)
-    zeta_k = analysis.critical_value(analysis.CriticalKind.ZETA, k)
-    tau_next = analysis.critical_value(analysis.CriticalKind.TAU, k + 1)
-    return tau_k < theta_k < zeta_k < tau_next < Fraction(3, 2)
+    tau_k, theta_k, zeta_k, tau_next = analysis.critical_neighbours(k)
+    return tau_k < theta_k < zeta_k < tau_next < analysis.SUP
 
 
 def _cmd_critical(args, config) -> int:

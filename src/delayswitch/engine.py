@@ -142,9 +142,8 @@ def _simulate(
         raise ValueError("tau must be positive")
     tau = Fraction(tau)
     p, q = tau.numerator, tau.denominator
-    n = 0  # 4k + 6 for a window delay whose run sizes a limit
-    if (max_switches is None or max_time is None) and 4 * q <= 3 * p and 2 * p < 3 * q:
-        n = 4 * analysis._window_k(tau) + 6
+    k = analysis.window_k(tau) if max_switches is None or max_time is None else None
+    n = 0 if k is None else 4 * k + 6  # 4k + 6 for a window delay whose run sizes a limit
     if max_switches is None:
         max_switches = max(DEFAULT_MAX_SWITCHES, n)
     if max_time is None:
@@ -252,12 +251,3 @@ def behavior_label(outcome: Outcome) -> str:
         return "divergent_minus_inf" if outcome.direction < 0 else "divergent_plus_inf"
     return "undetermined"
 
-
-def trace_records(trace: SimTrace) -> list[dict]:
-    """Wire form of the event trace: {"t": "p/q", "x": "p/q", "kind": ...}."""
-    from .exact import rat_format
-
-    return [
-        {"t": rat_format(e.t), "x": rat_format(e.x), "kind": e.kind}
-        for e in trace.events
-    ]

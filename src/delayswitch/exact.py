@@ -20,9 +20,9 @@ from fractions import Fraction
 
 Rat = Fraction
 
-_INT_RE = re.compile(r"[+-]?\d+\Z")
-_RATIO_RE = re.compile(r"(?P<num>[+-]?\d+)/(?P<den>\d+)\Z")
-_DECIMAL_RE = re.compile(r"(?P<sign>[+-]?)(?P<int>\d*)\.(?P<frac>\d*)\Z")
+_INT_RE = re.compile(r"[+-]?\d+\Z", re.ASCII)
+_RATIO_RE = re.compile(r"(?P<num>[+-]?\d+)/(?P<den>\d+)\Z", re.ASCII)
+_DECIMAL_RE = re.compile(r"(?P<sign>[+-]?)(?P<int>\d*)\.(?P<frac>\d*)\Z", re.ASCII)
 
 
 class RatParseError(ValueError):

@@ -78,10 +78,16 @@ def render_trajectory(
 
     ``label_indices`` selects 1-based turning-point indices to annotate.
     Raises ValueError on an empty trace, on a width or height of at most
-    twice the margin, and on a label index outside the turning points.
+    twice the margin, on a label index outside the turning points, and on a
+    title holding a character XML 1.0 cannot carry, such as U+0001.
     """
     if min(width, height) <= 2 * _PAD:
         raise ValueError(f"width and height must exceed {2 * _PAD:.0f} px")
+    for char in title or "":
+        # no escape carries these in XML 1.0: see its Char production
+        control = char < " " and char not in "\t\n\r"
+        if control or "\ud800" <= char <= "\udfff" or char in "\ufffe\uffff":
+            raise ValueError(f"the title holds U+{ord(char):04X}, which XML cannot carry")
     turning = outcome.trace.switches if label_indices else []
     for j in label_indices:
         if not 1 <= j <= len(turning):

@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import analysis, engine
-from .analysis import Behavior, CriticalKind, Prediction, RegimeKind
+from .analysis import Prediction, RegimeKind
 from .exact import Rat, rat_format
 
 if TYPE_CHECKING:
@@ -140,7 +140,7 @@ def check_closed_form(tau: Rat, outcome: engine.Outcome | None = None) -> Closed
     violate the alternating inequalities must be J itself.
     """
     tau = Fraction(tau)
-    if not analysis.TAU_LOW <= tau < analysis.SUP:
+    if analysis.window_k(tau) is None:
         raise ValueError("check_closed_form requires tau in [4/3, 3/2)")
     horizon = analysis.horizon_J(tau)
     outcome = engine.run(tau, horizon) if outcome is None else _outcome_of(tau, outcome)
@@ -394,12 +394,7 @@ def sweep_taus(k_max: int, samples_per_interval: int) -> list[Rat]:
     taus: list[Rat] = []
     m = samples_per_interval
     for k in range(1, k_max + 1):
-        anchors = [
-            analysis.critical_value(CriticalKind.TAU, k),
-            analysis.critical_value(CriticalKind.THETA, k),
-            analysis.critical_value(CriticalKind.ZETA, k),
-            analysis.critical_value(CriticalKind.TAU, k + 1),
-        ]
+        anchors = analysis.critical_neighbours(k)
         for lo, hi in zip(anchors, anchors[1:]):
             taus.append(lo)
             taus.extend(lo + (hi - lo) * Fraction(i, m + 1) for i in range(1, m + 1))

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from delayswitch.analysis import (
     Behavior,
@@ -9,19 +11,31 @@ from delayswitch.analysis import (
     Regime,
     RegimeKind,
     alpha_closed,
-    alpha_from_beta,
     beta_closed,
     beta_recurrence,
     classify,
     closed_coefficient_rows,
-    closed_coefficients,
+    critical_neighbours,
     critical_value,
     distance_to_critical,
     horizon_J,
+    window_k,
 )
 from delayswitch.exact import rat_parse
 
 TAU, THETA, ZETA = CriticalKind.TAU, CriticalKind.THETA, CriticalKind.ZETA
+
+
+def alpha_from_beta(j: int, tau: F, betas: list[F]) -> F:
+    """The paper's turning value from consecutive switch instants, j >= 2:
+
+    alpha_j = 1 + (-1)^j * [tau - 2*(beta_j - beta_{j-1})].
+    """
+    if j < 2:
+        raise ValueError("j must be >= 2")
+    if len(betas) < j:
+        raise ValueError(f"betas must contain beta_{j - 1} and beta_{j}")
+    return 1 + (-1) ** j * (tau - 2 * (betas[j - 1] - betas[j - 2]))
 
 
 def random_tau_in_window(rng: random.Random) -> F:
@@ -138,12 +152,12 @@ def test_stepped_coefficient_rows_match_the_docstring_formulas():
     assert all(v.denominator == 1 for row in formulas for v in row)
     rows = closed_coefficient_rows()
     assert [next(rows) for _ in range(300)] == formulas
-    assert [closed_coefficients(j) for j in range(1, 301)] == formulas
+    assert [next(closed_coefficient_rows(j)) for j in range(1, 301)] == formulas
     rows = closed_coefficient_rows(117)
     assert [next(rows) for _ in range(184)] == formulas[116:]
     for j in (0, -3):
         with pytest.raises(ValueError):
-            closed_coefficients(j)
+            next(closed_coefficient_rows(j))
 
 
 def test_alpha_closed_values():
@@ -291,3 +305,43 @@ def test_distance_to_critical():
     assert distance_to_critical(F(1)) == F(1, 3)
     assert distance_to_critical(F(2)) == F(1, 2)
     assert distance_to_critical(F(3, 2)) == 0
+
+
+@st.composite
+def delays_between_1_and_2(draw) -> F:
+    q = draw(st.integers(min_value=2, max_value=10**30))
+    return F(draw(st.integers(min_value=q + 1, max_value=2 * q - 1)), q)
+
+
+@given(delays_between_1_and_2())
+@example(F(4, 3))
+@example(F(3, 2))
+@example(F(3, 2) - F(1, 10**60))
+@example(F(4, 3) - F(1, 10**60))
+@example(F(0))
+@example(F(-7, 5))
+def test_window_k_is_none_exactly_outside_the_window(tau):
+    k = window_k(tau)
+    if not F(4, 3) <= tau < F(3, 2):
+        assert k is None
+    else:
+        assert critical_value(TAU, k) <= tau < critical_value(TAU, k + 1)
+
+
+def test_window_k_fixed_cases():
+    assert window_k(F(4, 3)) == 1
+    assert window_k(critical_value(ZETA, 40)) == 40
+    assert window_k(critical_value(TAU, 41) - F(1, 10**60)) == 40
+
+
+def test_critical_neighbours_are_the_four_critical_values():
+    for k in range(1, 41):
+        expected = (
+            critical_value(TAU, k),
+            critical_value(THETA, k),
+            critical_value(ZETA, k),
+            critical_value(TAU, k + 1),
+        )
+        assert critical_neighbours(k) == expected
+    with pytest.raises(ValueError):
+        critical_neighbours(0)

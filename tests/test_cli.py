@@ -50,8 +50,9 @@ def test_classify_examples(capsys):
 
 
 def test_classify_errors(capsys):
-    code, _, err = run_cli(capsys, "classify", "abc")
-    assert code == 2 and "rational" in err
+    for text in ("abc", "\u0664/\u0663", "1.\u0664"):  # Arabic-Indic 4/3 and 1.4
+        code, out, err = run_cli(capsys, "classify", text)
+        assert code == 2 and out == "" and "rational" in err
     code, _, err = run_cli(capsys, "classify", "0")
     assert code == 2
     code, _, err = run_cli(capsys, "classify", "-4/3")
@@ -110,6 +111,10 @@ def test_simulate_trace_file(tmp_path, capsys):
     assert doc["outcome"]["total_switchings"] == 9
     kinds = {e["kind"] for e in doc["events"]}
     assert kinds == {"hit", "switch"}
+    events = engine.run(F(63, 43)).trace.events
+    assert doc["events"] == [
+        {"t": rat_format(e.t), "x": rat_format(e.x), "kind": e.kind} for e in events
+    ]
 
 
 def test_simulate_custom_ic(capsys):
@@ -354,6 +359,16 @@ def test_render_refuses_label_indices_outside_the_turning_points(capsys):
     assert code == 2 and out == "" and "--labels: 'x' is not an integer" in err
     code, out, _ = run_cli(capsys, "render", "4/3", "--labels", "1,7")
     assert code == 0 and "&#945;7" in out
+
+
+def test_render_refuses_a_title_xml_cannot_carry(tmp_path, capsys):
+    # XML 1.0 carries no control character but tab, LF and CR, not even as
+    # a character reference, so such a title would make the SVG malformed
+    code, out, err = run_cli(capsys, "render", "4/3", "--title", "a\x01b")
+    assert code == 2 and out == "" and "U+0001, which XML cannot carry" in err
+    out_path = tmp_path / "fig.svg"
+    code, _, _ = run_cli(capsys, "render", "4/3", "--title", "a\x01b", "--out", str(out_path))
+    assert code == 2 and not out_path.exists()
 
 
 def test_output_files_take_their_mode_from_the_umask(tmp_path, capsys):

@@ -14,7 +14,6 @@ from delayswitch.engine import (
     behavior_label,
     run,
     simulate_switches,
-    trace_records,
 )
 from rowcheck import check_rows
 
@@ -375,7 +374,6 @@ def test_behavior_labels_and_trace_records():
     assert behavior_label(run(F(4, 3))) == "periodic"
     assert behavior_label(run(F(63, 43))) == "divergent_minus_inf"
     assert behavior_label(run(F(89, 66), max_switches=2)) == "undetermined"
-    records = trace_records(run(F(4, 3)).trace)
-    assert records[0] == {"t": "0", "x": "0", "kind": "hit"}
-    assert all(set(r) == {"t", "x", "kind"} for r in records)
-    assert any(r["kind"] == "switch" for r in records)
+    events = run(F(4, 3)).trace.events
+    assert events[0] == TraceEvent(F(0), F(0), "hit")
+    assert {e.kind for e in events} == {"hit", "switch"}

@@ -68,7 +68,9 @@ def test_parse_canonical_form():
 
 
 def test_parse_rejects_garbage():
-    for bad in ("", "abc", "1/0", "4//3", "1.2.3", "1e5", "nan", "3/-4"):
+    # "\d" would match any Unicode digit, and int() reads them all
+    non_ascii = ("\u0664/\u0663", "1.\u0664", "\u0664", "\uff14/\uff13", "4/\u0663", "1\u0669.5")
+    for bad in ("", "abc", "1/0", "4//3", "1.2.3", "1e5", "nan", "3/-4", *non_ascii):
         with pytest.raises(RatParseError):
             rat_parse(bad)
     with pytest.raises(RatParseError, match="zero denominator"):

@@ -86,3 +86,14 @@ def test_title_is_escaped():
     texts = [e.text for e in root.iter("{http://www.w3.org/2000/svg}text")]
     assert "a<b & c" in texts
 
+
+def test_title_with_a_character_xml_cannot_carry_is_refused():
+    outcome = engine.run(F(4, 3))
+    for bad in ("a\x01b", "\x00", "\x0b\x0c", "a\x1f", "\ufffe", "\uffff", "\ud800"):
+        with pytest.raises(ValueError, match="XML cannot carry"):
+            render_trajectory(outcome, title=bad)
+    # tab, LF and CR are XML characters, as are DEL and astral characters
+    title = "a\tb\nc\rd\x7f\U0001d70f"
+    root = ET.fromstring(render_trajectory(outcome, title=title).encode("utf-8"))
+    texts = [e.text for e in root.iter("{http://www.w3.org/2000/svg}text")]
+    assert "a\tb\nc\nd\x7f\U0001d70f" in texts  # parsers read CR as LF
