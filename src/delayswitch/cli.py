@@ -4,8 +4,10 @@ Rational inputs and outputs use the exact "p/q" text form everywhere; JSON
 output pairs every exact field with a 12-digit decimal companion for human
 consumption (machine consumers must use the exact field).  Output files are
 written atomically.  Exit codes: 0 success, 1 disagreement (sweep/verify),
-2 usage or domain error, 3 undetermined simulation, 4 I/O failure, 141 a
-closed stdout (128 + SIGPIPE, as a shell reports a writer the signal ends).
+2 usage or domain error, 3 undetermined simulation, 4 I/O failure writing an
+output file, 141 a closed stdout (128 + SIGPIPE, as a shell reports a writer
+the signal ends).  Every setting comes from its flag, or else from the
+flag's default.
 """
 
 from __future__ import annotations
@@ -26,8 +28,6 @@ EXIT_DISAGREE = 1
 EXIT_USAGE = 2
 EXIT_UNDETERMINED = 3
 EXIT_IO = 4
-
-_CONFIG_KEYS = {"max_switches", "max_time", "k_max", "samples", "width", "height"}
 
 
 def _exact_fields(name: str, value: Fraction) -> dict[str, str]:
@@ -62,37 +62,16 @@ def _atomic_write(path: str, data: str) -> None:
         raise
 
 
-def _read_config(path: str) -> dict[str, str]:
-    config: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, value = line.partition("=")
-            key = key.strip()
-            if not sep or key not in _CONFIG_KEYS:
-                raise ValueError(f"{path}:{lineno}: bad config line {line!r}")
-            config[key] = value.strip()
-    return config
+def _limits(args) -> tuple[int | None, Fraction | None]:
+    """The limits the flags set; None leaves one to ``engine.run``."""
+    max_time = None if args.max_time is None else rat_parse(args.max_time)
+    return args.max_switches, max_time
 
 
-def _setting(flag_value, config: dict[str, str], key: str, default, convert):
-    """The flag's value, else the config file's, converted; else the default."""
-    raw = flag_value if flag_value is not None else config.get(key)
-    return default if raw is None else convert(raw)
-
-
-def _limits(args, config) -> tuple[int | None, Fraction | None]:
-    """The limits a flag or the config sets; None leaves one to ``engine.run``."""
-    max_switches = _setting(args.max_switches, config, "max_switches", None, int)
-    return max_switches, _setting(args.max_time, config, "max_time", None, rat_parse)
-
-
-def _run(args, config) -> engine.Outcome:
+def _run(args) -> engine.Outcome:
     """The engine's run of the command's tau under :func:`_limits`."""
     tau = rat_parse(args.tau)
-    return engine.run(tau, *_limits(args, config))
+    return engine.run(tau, *_limits(args))
 
 
 def _turning_doc(point: engine.TurningPoint) -> dict:
@@ -116,7 +95,7 @@ def _outcome_doc(outcome: engine.Outcome) -> dict:
     return doc
 
 
-def _cmd_classify(args, config) -> int:
+def _cmd_classify(args) -> int:
     tau = rat_parse(args.tau)
     prediction = analysis.classify(tau)
     doc = {**_exact_fields("tau", tau), "regime": prediction.regime.kind.value}
@@ -128,8 +107,8 @@ def _cmd_classify(args, config) -> int:
     return EXIT_OK
 
 
-def _cmd_simulate(args, config) -> int:
-    outcome = _run(args, config)
+def _cmd_simulate(args) -> int:
+    outcome = _run(args)
     doc = _outcome_doc(outcome)
     if args.trace:
         trace_doc = {
@@ -150,24 +129,26 @@ def _interleaving_ok(k: int) -> bool:
     return tau_k < theta_k < zeta_k < tau_next < analysis.SUP
 
 
-def _cmd_critical(args, config) -> int:
-    if not 1 <= args.k_from <= args.k_to:
-        raise ValueError("need 1 <= --k-from <= --k-to")
+def _critical_rows(args):
+    """The table's rows, one k at a time, so that CSV prints each as it comes."""
     kind = analysis.CriticalKind(args.kind)
-    rows = []
     for k in range(args.k_from, args.k_to + 1):
         value = analysis.critical_value(kind, k)
-        rows.append(
-            {
-                "kind": args.kind,
-                "k": k,
-                "exact": rat_format(value),
-                "decimal": rat_to_decimal(value, DECIMAL_DIGITS),
-                "interleaving_ok": _interleaving_ok(k),
-            }
-        )
+        yield {
+            "kind": args.kind,
+            "k": k,
+            "exact": rat_format(value),
+            "decimal": rat_to_decimal(value, DECIMAL_DIGITS),
+            "interleaving_ok": _interleaving_ok(k),
+        }
+
+
+def _cmd_critical(args) -> int:
+    if not 1 <= args.k_from <= args.k_to:
+        raise ValueError("need 1 <= --k-from <= --k-to")
+    rows = _critical_rows(args)
     if args.format == "json":
-        print(json.dumps(rows, indent=2))
+        print(json.dumps(list(rows), indent=2))
     else:
         print("kind,k,exact,decimal,interleaving_ok")
         for row in rows:
@@ -176,11 +157,8 @@ def _cmd_critical(args, config) -> int:
     return EXIT_OK
 
 
-def _cmd_sweep(args, config) -> int:
-    k_max = _setting(args.k_max, config, "k_max", 6, int)
-    samples = _setting(args.samples, config, "samples", 3, int)
-    max_switches, max_time = _limits(args, config)
-    report = validate.sweep(k_max, samples, max_switches, max_time)
+def _cmd_sweep(args) -> int:
+    report = validate.sweep(args.k_max, args.samples, *_limits(args))
     text = report.to_json() if args.format == "json" else report.to_csv()
     if args.out:
         _atomic_write(args.out, text)
@@ -199,8 +177,8 @@ def _cmd_sweep(args, config) -> int:
     return EXIT_OK if report.all_agree else EXIT_DISAGREE
 
 
-def _cmd_verify(args, config) -> int:
-    outcome = _run(args, config)
+def _cmd_verify(args) -> int:
+    outcome = _run(args)
     tau = outcome.trace.tau
     theorem = validate.check_theorem(tau, outcome)
     closed = validate.check_closed_form(tau, outcome)
@@ -232,9 +210,7 @@ def _cmd_verify(args, config) -> int:
     return EXIT_OK if ok else EXIT_DISAGREE
 
 
-def _cmd_render(args, config) -> int:
-    width = _setting(args.width, config, "width", render.DEFAULT_WIDTH, int)
-    height = _setting(args.height, config, "height", render.DEFAULT_HEIGHT, int)
+def _cmd_render(args) -> int:
     labels: list[int] = []
     for piece in filter(str.strip, (args.labels or "").split(",")):
         try:
@@ -242,7 +218,7 @@ def _cmd_render(args, config) -> int:
         except ValueError:
             raise ValueError(f"--labels: {piece.strip()!r} is not an integer") from None
     svg = render.render_trajectory(
-        _run(args, config), width=width, height=height, label_indices=labels, title=args.title
+        _run(args), width=args.width, height=args.height, label_indices=labels, title=args.title
     )
     if args.out:
         _atomic_write(args.out, svg)
@@ -259,20 +235,17 @@ def _build_parser() -> argparse.ArgumentParser:
             "delay-switched system with critical set {0, 1}."
         ),
     )
-    parser.add_argument(
-        "--config", help="key=value defaults file (explicit flags override it)"
-    )
     sub = parser.add_subparsers(dest="command", required=True)
+    delay = argparse.ArgumentParser(add_help=False)
+    delay.add_argument("tau", help='delay as "p/q" or a finite decimal')
     limits = argparse.ArgumentParser(add_help=False)
     limits.add_argument("--max-switches", type=int, default=None)
     limits.add_argument("--max-time", default=None, help='time limit, "p/q" or decimal')
 
-    p = sub.add_parser("classify", help="regime and prediction for a delay")
-    p.add_argument("tau", help='delay as "p/q" or a finite decimal')
+    p = sub.add_parser("classify", parents=[delay], help="regime and prediction for a delay")
     p.set_defaults(func=_cmd_classify)
 
-    p = sub.add_parser("simulate", parents=[limits], help="exact simulation of a delay")
-    p.add_argument("tau")
+    p = sub.add_parser("simulate", parents=[delay, limits], help="exact simulation of a delay")
     p.add_argument("--trace", help="write the full event trace to this JSON file")
     p.set_defaults(func=_cmd_simulate)
 
@@ -286,21 +259,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "sweep", parents=[limits], help="classifier-vs-simulation sweep over regimes"
     )
-    p.add_argument("--k-max", type=int, default=None)
-    p.add_argument("--samples", type=int, default=None, help="samples per open interval")
+    p.add_argument("--k-max", type=int, default=6)
+    p.add_argument("--samples", type=int, default=3, help="samples per open interval")
     p.add_argument("--out", help="write the report to this file")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("verify", parents=[limits], help="full cross-check for one delay")
-    p.add_argument("tau")
+    p = sub.add_parser("verify", parents=[delay, limits], help="full cross-check for one delay")
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("render", parents=[limits], help="render the simulated trajectory as SVG")
-    p.add_argument("tau")
+    p = sub.add_parser(
+        "render", parents=[delay, limits], help="render the simulated trajectory as SVG"
+    )
     p.add_argument("--out", help="output SVG path (stdout when omitted)")
-    p.add_argument("--width", type=int, default=None)
-    p.add_argument("--height", type=int, default=None)
+    p.add_argument("--width", type=int, default=render.DEFAULT_WIDTH)
+    p.add_argument("--height", type=int, default=render.DEFAULT_HEIGHT)
     p.add_argument("--labels", help="comma-separated 1-based turning points to label")
     p.add_argument("--title", default=None)
     p.set_defaults(func=_cmd_render)
@@ -327,8 +300,7 @@ def _main(argv: list[str] | None) -> int:
     except SystemExit as exc:  # argparse exits on usage errors; keep main() returning
         return int(exc.code or 0)
     try:
-        config = _read_config(args.config) if args.config else {}
-        code = args.func(args, config)
+        code = args.func(args)
         sys.stdout.flush()  # so that a closed stdout fails here, not at exit
         return code
     except ValueError as exc:

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from delayswitch import engine
+from delayswitch import analysis, engine
 from delayswitch.analysis import CriticalKind, critical_value
 from delayswitch.cli import main
 from delayswitch.exact import rat_format
@@ -195,13 +195,10 @@ def test_sweep_stdout_and_file(tmp_path, capsys):
     assert json.loads(out)["all_agree"] is True
 
 
-def test_sweep_limits_from_a_flag_or_the_config_reach_every_run(tmp_path, capsys):
-    config = tmp_path / "delayswitch.conf"
-    config.write_text("max_switches = 3\n")
+def test_sweep_limits_from_a_flag_or_the_config_reach_every_run(capsys):
     argv = ("sweep", "--k-max", "1", "--samples", "0")
-    by_flag = run_cli(capsys, *argv, "--max-switches", "3")
-    assert by_flag == run_cli(capsys, "--config", str(config), *argv)
-    for code, out, err in (by_flag, run_cli(capsys, *argv, "--max-time", "1")):
+    for limit in (("--max-switches", "3"), ("--max-time", "1")):
+        code, out, err = run_cli(capsys, *argv, *limit)
         rows = out.splitlines()[1:]
         assert (code, err, len(rows)) == (1, "", 3)
         assert all(row.endswith(",undetermined,,false") for row in rows)
@@ -290,28 +287,20 @@ def test_verify_and_simulate_answer_past_the_fixed_limits():
     assert code == 0 and sink.tail.endswith('"alpha_decimal": "0.000000000000"\n    }\n  ]\n}\n')
 
 
-def test_verify_names_the_limit_that_stopped_an_undetermined_run(tmp_path, capsys):
+def test_verify_names_the_limit_that_stopped_an_undetermined_run(capsys):
     code, out, _ = run_cli(capsys, "verify", "4/3", "--max-switches", "3")
     assert code == 1
     assert "simulation: undetermined, 3 switchings, stopped by max_switches" in out
     assert out.endswith("VERDICT: DISAGREE\n")
-    config = tmp_path / "delayswitch.conf"
-    config.write_text("max_time = 2\n")
-    code, out, _ = run_cli(capsys, "--config", str(config), "verify", "4/3")
+    code, out, _ = run_cli(capsys, "verify", "4/3", "--max-time", "2")
     assert code == 1 and "stopped by max_time" in out
 
 
-def test_max_time_flag_and_config_parse_alike(tmp_path, capsys):
-    config = tmp_path / "delayswitch.conf"
-    config.write_text("max_time = 7/2\n")
-    by_flag = run_cli(capsys, "simulate", "89/66", "--max-time", "7/2")
-    by_config = run_cli(capsys, "--config", str(config), "simulate", "89/66")
-    assert by_flag == by_config and by_flag[0] == 3
+def test_max_time_flag_and_config_parse_alike(capsys):
+    assert run_cli(capsys, "simulate", "89/66", "--max-time", "7/2")[0] == 3
 
-    config.write_text("max_time = abc\n")
     for argv in (
         ("simulate", "89/66", "--max-time", "abc"),
-        ("--config", str(config), "simulate", "89/66"),
         ("verify", "4/3", "--max-time", "1e5"),
     ):
         code, out, err = run_cli(capsys, *argv)
@@ -339,14 +328,10 @@ def test_render_io_failure(tmp_path, capsys):
     assert code == 4
 
 
-def test_render_refuses_sizes_without_a_plot_area(tmp_path, capsys):
-    for flag, value in (("--width", "-50"), ("--height", "96")):
+def test_render_refuses_sizes_without_a_plot_area(capsys):
+    for flag, value in (("--width", "-50"), ("--height", "96"), ("--width", "40")):
         code, out, err = run_cli(capsys, "render", "4/3", flag, value)
         assert code == 2 and out == "" and "width and height" in err
-    config = tmp_path / "small.conf"
-    config.write_text("width = 40\n")
-    code, _, err = run_cli(capsys, "--config", str(config), "render", "4/3")
-    assert code == 2 and "width and height" in err
     code, out, _ = run_cli(capsys, "render", "4/3", "--width", "97")
     assert code == 0 and 'width="97"' in out
 
@@ -388,22 +373,16 @@ def test_output_files_take_their_mode_from_the_umask(tmp_path, capsys):
     assert modes == dict.fromkeys(outputs, 0o644)
 
 
-def test_config_defaults_and_override(tmp_path, capsys):
+def test_settings_come_from_flags_alone(tmp_path, capsys):
+    # each setting has one source, its flag, so there is no --config file
     config = tmp_path / "delayswitch.conf"
-    config.write_text("# comment\nmax_switches = 3\n")
-    code, out, _ = run_cli(capsys, "--config", str(config), "simulate", "89/66")
-    assert code == 3  # config capped the run
-    code, out, _ = run_cli(
-        capsys, "--config", str(config), "simulate", "89/66", "--max-switches", "100"
-    )
-    assert code == 0  # flag overrides config
-
-    bad = tmp_path / "bad.conf"
-    bad.write_text("nonsense\n")
-    code, _, err = run_cli(capsys, "--config", str(bad), "classify", "4/3")
-    assert code == 2
-    code, _, err = run_cli(capsys, "--config", str(tmp_path / "nope.conf"), "classify", "4/3")
-    assert code == 4
+    config.write_text("max_switches = 3\n")
+    for argv in (
+        ("--config", str(config), "simulate", "89/66"),
+        ("simulate", "89/66", "--config", str(config)),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and err.startswith("usage: delayswitch")
 
 
 def test_module_entry_point():
@@ -446,6 +425,46 @@ def test_a_closed_stdout_ends_the_call_quietly_with_141():
     proc.stderr.close()
     assert proc.wait(timeout=120) == 141
     assert err == b""
+
+
+class _ClosedAfterFirstWrite(io.TextIOBase):
+    """A stdout whose reader leaves after the first write."""
+
+    def __init__(self, devnull: int):
+        self.writes = 0
+        self.devnull = devnull
+
+    def write(self, text):
+        self.writes += 1
+        if self.writes > 1:
+            raise BrokenPipeError(32, "Broken pipe")
+        return len(text)
+
+    def fileno(self):
+        return self.devnull  # where main points the closed stdout
+
+
+def test_critical_stops_making_rows_once_stdout_closes(monkeypatch):
+    # CSV rows are printed as they are made, so a reader that leaves early
+    # spares the call the rest of the table
+    calls = []
+    value = analysis.critical_value
+
+    def counted(kind, k):
+        if kind is CriticalKind.ZETA:
+            calls.append(k)
+        return value(kind, k)
+
+    monkeypatch.setattr(analysis, "critical_value", counted)
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    try:
+        sink = _ClosedAfterFirstWrite(devnull)
+        with contextlib.redirect_stdout(sink):
+            code = main(["critical", "--kind", "zeta", "--k-from", "1", "--k-to", "1000"])
+    finally:
+        os.close(devnull)
+    assert code == 141 and sink.writes == 2
+    assert len(calls) <= 2
 
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():

@@ -1,9 +1,11 @@
 """Byte-for-byte golden outputs of the CLI for a fixed list of delays.
 
-The files under ``tests/golden/`` pin what ``simulate`` (JSON, plus the
-event trace it writes with ``--trace``), ``verify`` (text), ``render`` (SVG)
-and ``sweep --k-max 3 --samples 2`` (CSV) print, together with the exit code
-and any error message.  A refactor that keeps behaviour must leave them
+The files under ``tests/golden/`` pin what ``classify`` (JSON),
+``simulate`` (JSON, plus the event trace it writes with ``--trace``),
+``verify`` (text), ``render`` (SVG), ``critical`` for k = 1..4 (CSV, and
+JSON for tau) and ``sweep`` (CSV for ``--k-max 3 --samples 2``, JSON for
+``--k-max 2 --samples 1``) print, together with the exit code and any error
+message.  A refactor that keeps behaviour must leave them
 unchanged.  To regenerate them deliberately, run
 ``PYTHONPATH=src python tests/test_golden.py --regen``.
 """
@@ -35,7 +37,15 @@ def cases() -> list[tuple[str, tuple[str, ...], str]]:
         out.append(
             (f"render-{slug}", ("render", tau, "--labels", "1,2,3", "--title", f"tau {tau}"), "svg")
         )
+        out.append((f"classify-{slug}", ("classify", tau), "json"))
+    for kind in ("tau", "theta", "zeta"):
+        argv = ("critical", "--kind", kind, "--k-from", "1", "--k-to", "4")
+        out.append((f"critical-{kind}-k1-4", argv, "csv"))
+        if kind == "tau":
+            out.append(("critical-tau-k1-4-json", (*argv, "--format", "json"), "json"))
     out.append(("sweep-k3-s2", ("sweep", "--k-max", "3", "--samples", "2"), "csv"))
+    sweep_json = ("sweep", "--k-max", "2", "--samples", "1", "--format", "json")
+    out.append(("sweep-k2-s1", sweep_json, "json"))
     return out
 
 
