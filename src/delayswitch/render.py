@@ -25,13 +25,13 @@ def _escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def _projection(points, width: int, height: int):
-    """Affine map from data (t, x) to pixels, fitted to all points plus the
-    guide levels 0 and 1, and the data ranges (t0, t1, x1) it spans."""
-    ts = [p[0] for p in points]
-    xs = [p[1] for p in points] + [0.0, 1.0]
+def _projection(ts: list[float], xs: list[float], width: int, height: int):
+    """Affine map from data (t, x) to pixels, fitted to the vertex columns
+    ``ts``, ``xs`` plus the guide levels 0 and 1.  Returns ``to_px`` and the
+    ranges and scales it applies, ``(t0, t1, x0, x1, sx, sy)``: a point maps
+    to ``_PAD + (t - t0) * sx, height - _PAD - (x - x0) * sy``."""
     t0, t1 = min(ts), max(ts)
-    x0, x1 = min(xs), max(xs)
+    x0, x1 = min(min(xs), 0.0), max(max(xs), 1.0)
     if t0 == t1:
         t1 = t0 + 1.0
     sx = (width - 2 * _PAD) / (t1 - t0)
@@ -40,31 +40,35 @@ def _projection(points, width: int, height: int):
     def to_px(t: float, x: float) -> tuple[float, float]:
         return _PAD + (t - t0) * sx, height - _PAD - (x - x0) * sy
 
-    return to_px, (t0, t1, x1)
+    return to_px, (t0, t1, x0, x1, sx, sy)
 
 
-def _vertices(outcome: Outcome) -> list[tuple[float, float]]:
-    """Polyline vertices of an engine Outcome: every event point,
-    consecutive duplicates merged, plus the ray endpoint for divergent
-    outcomes.
+def _vertices(outcome: Outcome) -> tuple[list[float], list[float]]:
+    """Polyline vertices of an engine Outcome as columns ``(ts, xs)``: every
+    event point, consecutive duplicates merged, plus the ray endpoint for
+    divergent outcomes.
 
     Vertices are read off the scaled rows as T/q, X/q; int true division
     rounds correctly, so they equal the floats of the Fraction events.
     """
     sim = outcome.trace
     q = sim.tau.denominator
-    points: list[tuple[float, float]] = []
+    ts: list[float] = []
+    xs: list[float] = []
+    last = None
     for t, x, _ in sim.rows:
-        pt = (t / q, x / q)
-        if not points or points[-1] != pt:  # hit+switch at one instant: one vertex
-            points.append(pt)
-    if not points:
+        point = (t / q, x / q)
+        if point != last:  # hit+switch at one instant: one vertex
+            ts.append(point[0])
+            xs.append(point[1])
+            last = point
+    if not ts:
         raise ValueError("empty trace")
     if isinstance(outcome, Divergent):
-        t_last, x_last = points[-1]
-        span = max(1.0, 0.1 * (t_last - points[0][0]))
-        points.append((t_last + span, x_last + outcome.direction * span))
-    return points
+        span = max(1.0, 0.1 * (ts[-1] - ts[0]))
+        ts.append(ts[-1] + span)
+        xs.append(xs[-1] + outcome.direction * span)
+    return ts, xs
 
 
 def render_trajectory(
@@ -92,8 +96,8 @@ def render_trajectory(
     for j in label_indices:
         if not 1 <= j <= len(turning):
             raise ValueError(f"label index {j} is outside 1..{len(turning)}")
-    vertices = _vertices(outcome)
-    to_px, (t0, t1, x1) = _projection(vertices, width, height)
+    ts, xs = _vertices(outcome)
+    to_px, (t0, t1, x0, x1, sx, sy) = _projection(ts, xs, width, height)
     divergent = isinstance(outcome, Divergent)
     lines: list[str] = []
     lines.append('<?xml version="1.0" encoding="UTF-8"?>')
@@ -134,7 +138,12 @@ def render_trajectory(
         'font-family="monospace" font-size="12">x</text>'
     )
     marker = ' marker-end="url(#ray-arrow)"' if divergent else ""
-    path = " ".join(["%.2f,%.2f" % to_px(t, x) for t, x in vertices])
+    # to_px inlined over the columns, in its order of operations
+    coords = [0.0] * (2 * len(ts))
+    coords[0::2] = [_PAD + (t - t0) * sx for t in ts]
+    bottom = height - _PAD
+    coords[1::2] = [bottom - (x - x0) * sy for x in xs]
+    path = ("%.2f,%.2f " * len(ts) % tuple(coords))[:-1]
     lines.append(
         f'<polyline class="trajectory" points="{path}" '
         f'fill="none" stroke="#000000" stroke-width="1.5"{marker}/>'

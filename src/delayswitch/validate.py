@@ -175,8 +175,9 @@ def float_oracle(tau: Rat, dt: float = 1e-6, t_end: float = 20.0) -> list[tuple[
     delay being a non-integer number of steps); when the delayed sample
     crosses 0 or 1 the slope is toggled at the interpolated crossing instant
     inside that step, which keeps discretization error far inside tolerance.
-    Blocks of steps far from both bounds are summed by :func:`_advance`, so
-    the cost follows the number of crossings, not of steps.
+    Steps go in blocks of 2**15; a block far from both bounds is summed by
+    :func:`_advance` without an array, so the cost follows the t_end/dt/2**15
+    blocks, and only blocks near a crossing pay per step.
 
     Refuses delays within 1000*dt of a critical value: floating point cannot
     resolve behavior that changes on exact rational equality.  Also refuses
@@ -219,14 +220,14 @@ def float_oracle(tau: Rat, dt: float = 1e-6, t_end: float = 20.0) -> list[tuple[
         # Chunks never exceed the delay in steps, so every delayed sample
         # needed below was computed in an earlier chunk.
         length = min(d_int, n_steps - filled)
-        origin = _positions(blocks, filled, filled)[0]
+        origin = _position(blocks, filled)
         total = 0.0  # running sum of the chunk's increments
         for lo in range(filled + 1, filled + length + 1, block):
             size = min(block, filled + length + 1 - lo)
             a, b = lo - 2 - d_int, lo - 1 - d_int + size  # steps the delayed samples read
             # With no crossing among steps a..b their positions are monotone, so
             # a delayed value strays from the ends' range by a few ulps at most.
-            low, high = sorted((_positions(blocks, a, a)[0], _positions(blocks, b, b)[0]))
+            low, high = sorted((_position(blocks, a), _position(blocks, b)))
             margin = 1e-12 * (1.0 + max(abs(low), abs(high)))
             crossings: list[tuple[int, float]] = []
             if bisect.bisect_right(turns, b) > bisect.bisect_right(turns, a) or any(
@@ -265,7 +266,7 @@ def float_oracle(tau: Rat, dt: float = 1e-6, t_end: float = 20.0) -> list[tuple[
             blocks.append((lo, origin + sums, 0.0, 0.0, 0.0))
             for n in sorted(by_step):
                 s = float(slopes[n - lo])
-                x_cur = float(_positions(blocks, n - 1, n - 1)[0])
+                x_cur = _position(blocks, n - 1)
                 prev = 0.0
                 for frac in by_step[n]:
                     x_cur += s * (frac - prev) * dt
@@ -275,6 +276,17 @@ def float_oracle(tau: Rat, dt: float = 1e-6, t_end: float = 20.0) -> list[tuple[
             slope *= (-1.0) ** len(crossings)
         filled += length
     return turning
+
+
+def _position(blocks: list[tuple], n: int) -> float:
+    """``_positions(blocks, n, n)[0]``, the same float, without arrays."""
+    i = bisect.bisect_right(blocks, n, key=lambda block: block[0]) - 1
+    first, xs, origin, before, inc = blocks[i]
+    if xs is not None:
+        return float(xs[n - first])
+    if origin is None:
+        return float(n) * inc
+    return origin + (inc + _advance(before, inc, n - first))
 
 
 def _positions(blocks: list[tuple], a: int, b: int) -> np.ndarray:

@@ -1,10 +1,11 @@
+import hashlib
 import re
 import xml.etree.ElementTree as ET
 from fractions import Fraction as F
 
 import pytest
 
-from delayswitch import engine
+from delayswitch import analysis, engine
 from delayswitch.engine import SimTrace
 from delayswitch.render import _projection, _vertices, render_trajectory
 
@@ -19,7 +20,7 @@ def test_single_segment_trace():
     trace = SimTrace(F(1), ((0, 0, "hit"), (1, 1, "hit")))
     svg = render_trajectory(engine.Undetermined(0, trace), width=300, height=200)
     pts = polyline_points(svg)
-    to_px, _ = _projection([(0.0, 0.0), (1.0, 1.0)], 300, 200)
+    to_px, _ = _projection([0.0, 1.0], [0.0, 1.0], 300, 200)
     assert pts == ["%.2f,%.2f" % to_px(0.0, 0.0), "%.2f,%.2f" % to_px(1.0, 1.0)]
 
 
@@ -40,15 +41,15 @@ def test_turning_points_are_vertices():
     outcome = engine.run(F(64, 43))
     svg = render_trajectory(outcome)
     pts = set(polyline_points(svg))
-    vertices = _vertices(outcome)
-    to_px, _ = _projection(vertices, 900, 380)
+    ts, xs = _vertices(outcome)
+    to_px, _ = _projection(ts, xs, 900, 380)
     for point in outcome.turning_points:
         assert "%.2f,%.2f" % to_px(float(point.beta), float(point.alpha)) in pts
 
 
 def test_coinciding_events_collapse_to_one_vertex():
     outcome = engine.run(F(4, 3))
-    vertices = _vertices(outcome)
+    vertices = list(zip(*_vertices(outcome)))
     assert len(vertices) == len(set(vertices))
 
 
@@ -56,9 +57,8 @@ def test_divergent_ray_and_marker():
     divergent = engine.run(F(63, 43))
     svg = render_trajectory(divergent)
     assert 'marker-end="url(#ray-arrow)"' in svg
-    vertices = _vertices(divergent)
-    last, prev = vertices[-1], vertices[-2]
-    assert last[0] > prev[0] and last[1] < prev[1]  # descending tail
+    ts, xs = _vertices(divergent)
+    assert ts[-1] > ts[-2] and xs[-1] < xs[-2]  # descending tail
     periodic_svg = render_trajectory(engine.run(F(4, 3)))
     assert "marker-end" not in periodic_svg
 
@@ -97,3 +97,40 @@ def test_title_with_a_character_xml_cannot_carry_is_refused():
     root = ET.fromstring(render_trajectory(outcome, title=title).encode("utf-8"))
     texts = [e.text for e in root.iter("{http://www.w3.org/2000/svg}text")]
     assert "a\tb\nc\nd\x7f\U0001d70f" in texts  # parsers read CR as LF
+
+
+def _replay(tau, switches):
+    trace = engine.simulate_switches(tau, switches)
+    return engine.Undetermined(len(trace.turning_points), trace)
+
+
+# sha256 of renders far longer than the golden files, whose paths hold at
+# most 23 vertices: a 2,000-switch replay of a delay with a 7-digit
+# denominator (4,000 vertices), a divergent ray with labels, and tau_20,
+# whose hit and switch rows coincide at a denominator of about 7e11
+@pytest.mark.parametrize(
+    "outcome, kwargs, digest",
+    [
+        pytest.param(
+            lambda: _replay(F(3941071, 3105281), 2000),
+            {"title": "tau = 3941071/3105281"},
+            "e013444f2aa5c2519aba6ba43fcb235c632598994834a4813d0e3d9afb539bea",
+            id="replay-2000",
+        ),
+        pytest.param(
+            lambda: engine.run(F(63, 43)),
+            {"label_indices": (1, 4, 7), "title": "tau = 63/43 & <ray>"},
+            "3bb451e753d8d4a1055c41f8372439af59f2f9121c00ec826b7376f788ad35a1",
+            id="divergent-labelled",
+        ),
+        pytest.param(
+            lambda: engine.run(analysis.critical_value(analysis.CriticalKind.TAU, 20)),
+            {},
+            "23eb13a89f974b2ce48318ede945361abd4089c3f878f8c852552e3a98fe8107",
+            id="tau_20",
+        ),
+    ],
+)
+def test_long_renders_keep_their_bytes(outcome, kwargs, digest):
+    svg = render_trajectory(outcome(), **kwargs)
+    assert hashlib.sha256(svg.encode("utf-8")).hexdigest() == digest

@@ -10,9 +10,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from delayswitch import engine
-from delayswitch.analysis import CriticalKind, critical_value, horizon_J
+from delayswitch.analysis import CriticalKind, critical_value, distance_to_critical, horizon_J
 from delayswitch.render import render_trajectory
 from delayswitch.validate import (
     OracleRefusal,
@@ -339,6 +341,17 @@ def test_float_oracle_matches_whole_history_version(tau, dt, t_end):
     # the same floats, bit for bit, as the step-by-step sums give
     assert float_oracle(tau, dt=dt, t_end=t_end) == _whole_history_oracle(float(tau), dt, t_end)
 
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    tau=st.fractions(F(1, 20), F(3), max_denominator=10**6),
+    dt=st.sampled_from([1e-6, 5e-7]),
+    t_end=st.floats(0.01, 1.5),
+)
+def test_float_oracle_matches_whole_history_version_on_random_delays(tau, dt, t_end):
+    assume(distance_to_critical(tau) >= 1000 * F(dt))
+    assert float_oracle(tau, dt=dt, t_end=t_end) == _whole_history_oracle(float(tau), dt, t_end)
 
 def test_advance_matches_step_by_step_sums():
     rng = random.Random(7)
