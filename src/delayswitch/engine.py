@@ -129,12 +129,12 @@ def _simulate(
     first, so the post-switch state already holds the freshly scheduled
     switch.  The post-switch state (slope, X, pending offsets) is the
     complete Markov state; with ``detect_period`` its first exact recurrence
-    ends the run as Periodic.  ``seen`` maps (slope, X) to the entries
-    (switch number, T, head, len(due)) of the states seen there, whose
-    offsets are compared only when the pair repeats.  An empty queue with
-    the ray pointing away from both boundaries ends the run as Divergent;
-    the limits end it as Undetermined, and a limit of zero or less raises
-    ValueError.
+    ends the run as Periodic.  ``head`` is also the number of switches run,
+    and ``seen`` maps (slope, X) to the entries (head, T, len(due)) of the
+    states seen there, whose offsets are compared only when the pair
+    repeats.  An empty queue with the ray pointing away from both boundaries
+    ends the run as Divergent; the limits end it as Undetermined, and a
+    limit of zero or less raises ValueError.
     """
     if (max_switches is not None and max_switches <= 0) or (max_time is not None and max_time <= 0):
         raise ValueError("limits must be positive")
@@ -152,17 +152,17 @@ def _simulate(
         max_time = Fraction(max_time)
         # T * den >= num * q  <=>  T >= ceil(num * q / den), T being an int
         t_cap = -(-max_time.numerator * q // max_time.denominator)
-    t = x = switches = head = 0
+    t = x = head = 0
     slope = 1  # +1 exactly while the number of executed switches is even
     due = [p]  # every switch time scheduled, increasing; pending: due[head:]
     events = [(0, 0, "hit")]
-    seen: dict[tuple[int, int], list[tuple[int, int, int, int]]] = {}
+    seen: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
     while True:
         if head == len(due) and (x < 0 if slope < 0 else x > q):
-            return Divergent(slope, switches, SimTrace(tau, tuple(events)))
-        if switches >= max_switches or t >= t_cap:
-            stopped_by = "max_switches" if switches >= max_switches else "max_time"
-            return Undetermined(switches, SimTrace(tau, tuple(events)), stopped_by)
+            return Divergent(slope, head, SimTrace(tau, tuple(events)))
+        if head >= max_switches or t >= t_cap:
+            stopped_by = "max_switches" if head >= max_switches else "max_time"
+            return Undetermined(head, SimTrace(tau, tuple(events)), stopped_by)
         if slope > 0:
             hit = t - x if x < 0 else (t + q - x if x < q else None)
         else:
@@ -187,21 +187,20 @@ def _simulate(
             assert did_hit or (x != 0 and x != q)
             head += 1
             slope = -slope
-            switches += 1
             events.append((t, x, "switch"))
             if detect_period:
-                entry = (switches, t, head, len(due))
+                entry = (head, t, len(due))
                 entries = seen.get((slope, x))
                 if entries is None:
                     seen[slope, x] = [entry]
                     continue
                 offsets = [d - t for d in due[head:]]
-                same = [e for e in entries if [d - e[1] for d in due[e[2] : e[3]]] == offsets]
+                same = [e for e in entries if [d - e[1] for d in due[e[0] : e[2]]] == offsets]
                 if same:
-                    i, t_i, _, _ = same[0]
+                    i, t_i, _ = same[0]
                     return Periodic(
                         least_period=Fraction(t - t_i, q),
-                        switchings_per_period=switches - i,
+                        switchings_per_period=head - i,
                         start_switch=i,
                         trace=SimTrace(tau, tuple(events)),
                     )

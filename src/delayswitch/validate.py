@@ -12,26 +12,25 @@ simulates a second time.  ``sweep`` runs the classifier-vs-simulator
 comparison over every regime up to a chosen k and serializes the result as
 CSV or JSON; disagreements are report rows, never aborts.
 
-Only the float oracle uses numpy, and it imports numpy on its first call,
-so importing the package and every exact check run without loading it.
+The float oracle steps in plain floats, with no array library.  Between
+two crossings its positions are float sums of one constant increment, and
+float addition and rounding are monotone, so its delayed sample is monotone
+wherever both of its reads lie in one such run: bisection finds the single
+step at which such a stretch crosses 0 or 1, and the cost follows the
+chunks and crossings, not the t_end/dt/2**15 blocks of steps.
 """
 
 from __future__ import annotations
 
 import bisect
-import csv
-import io
 import json
 import math
 from fractions import Fraction
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from . import analysis, engine
 from .analysis import Prediction, RegimeKind
 from .exact import Rat, rat_format
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 class OracleRefusal(ValueError):
@@ -175,17 +174,25 @@ def float_oracle(tau: Rat, dt: float = 1e-6, t_end: float = 20.0) -> list[tuple[
     delay being a non-integer number of steps); when the delayed sample
     crosses 0 or 1 the slope is toggled at the interpolated crossing instant
     inside that step, which keeps discretization error far inside tolerance.
-    Steps go in blocks of 2**15; a block far from both bounds is summed by
-    :func:`_advance` without an array, so the cost follows the t_end/dt/2**15
-    blocks, and only blocks near a crossing pay per step.
+
+    Steps go in chunks of at most one delay, so a chunk's delayed samples
+    read earlier chunks only, and a chunk's positions are its origin plus the
+    running sum of its increments.  Between crossings the increment is
+    constant, so the positions of such a run are float sums of one constant,
+    monotone because float addition and rounding are; the delayed sample is
+    then monotone wherever both of its reads lie in one run.  Such a stretch
+    changes sign against 0 or 1 at most once, at a first step that bisection
+    finds; only the samples whose reads straddle a run start are compared
+    one by one.  A run keeps its running sum every 2**15 steps, from which
+    :func:`_advance` reads a position.  So the lookups follow the chunks and
+    crossings, not the t_end/dt/2**15 blocks of steps, each of which costs
+    only the one stored sum.
 
     Refuses delays within 1000*dt of a critical value: floating point cannot
     resolve behavior that changes on exact rational equality.  Also refuses
     delays shorter than one step, and a ``t_end`` that is not finite and
     positive.
     """
-    import numpy as np
-
     tau = Fraction(tau)
     if tau <= 0:
         raise ValueError("tau must be positive")
@@ -207,107 +214,87 @@ def float_oracle(tau: Rat, dt: float = 1e-6, t_end: float = 20.0) -> list[tuple[
     d_frac = delay - d_int
     if d_int < 1:  # a chunk spans d_int steps, so the loop below would never advance
         raise OracleRefusal(f"tau = {rat_format(tau)} is shorter than one step of dt = {dt!r}")
-    # Positions as blocks (first step, positions, origin, sum, increment):
-    # blocks with a crossing keep positions; a steady block keeps its chunk's
-    # origin, the sum before it and its increment; the history, x = step*dt,
-    # keeps no origin and is computed when read.
-    blocks = [(-d_int - 1, None, None, 0.0, dt)]
-    turns: list[int] = []  # steps with a crossing: x is monotone between them
-    slope = 1.0
+    # Runs by first step: (origin, the running sum at the first step and every
+    # 2**15 steps on, increment).  The history, x = step*dt up to step 0, has
+    # no origin and is computed when read.
+    starts, runs = [-d_int - 1], [(None, [], dt)]
+
+    def position(n: int) -> float:
+        i = bisect.bisect_right(starts, n) - 1
+        origin, sums, inc = runs[i]
+        if origin is None:
+            return float(n) * inc
+        k, rest = divmod(n - starts[i], 1 << 15)
+        return origin + _advance(sums[k], inc, rest)
+
+    def sample(m: int) -> float:
+        """The delayed position at step m."""
+        return (1.0 - d_frac) * position(m - d_int) + d_frac * position(m - 1 - d_int)
+
+    def side(m: int, bound: float) -> int:
+        gap = sample(m) - bound
+        return (gap > 0.0) - (gap < 0.0)
+
+    def crossing(m: int, bound: float) -> float | None:
+        """The fraction of step m at which the delayed sample crosses bound."""
+        left, right = sample(m - 1) - bound, sample(m) - bound
+        if left * right < 0.0 or (right == 0.0 and left != 0.0):
+            return 1.0 if right == 0.0 else left / (left - right)
+        return None
+
+    slope, origin = 1.0, 0.0
     turning: list[tuple[float, float]] = []
-    filled, block = 0, 1 << 15  # steps per block
+    filled = 0
     while filled < n_steps:
-        # Chunks never exceed the delay in steps, so every delayed sample
-        # needed below was computed in an earlier chunk.
-        length = min(d_int, n_steps - filled)
-        origin = _position(blocks, filled)
-        total = 0.0  # running sum of the chunk's increments
-        for lo in range(filled + 1, filled + length + 1, block):
-            size = min(block, filled + length + 1 - lo)
-            a, b = lo - 2 - d_int, lo - 1 - d_int + size  # steps the delayed samples read
-            # With no crossing among steps a..b their positions are monotone, so
-            # a delayed value strays from the ends' range by a few ulps at most.
-            low, high = sorted((_position(blocks, a), _position(blocks, b)))
-            margin = 1e-12 * (1.0 + max(abs(low), abs(high)))
-            crossings: list[tuple[int, float]] = []
-            if bisect.bisect_right(turns, b) > bisect.bisect_right(turns, a) or any(
-                low - margin <= bound <= high + margin for bound in (0.0, 1.0)
-            ):
-                seg = _positions(blocks, a, b)
-                delayed = (1.0 - d_frac) * seg[1:] + d_frac * seg[:-1]
-                for bound in (0.0, 1.0):
-                    left, right = delayed[:-1] - bound, delayed[1:] - bound
-                    hits = (left * right < 0.0) | ((right == 0.0) & (left != 0.0))
-                    for i in np.nonzero(hits)[0].tolist():
-                        frac = 1.0 if right[i] == 0.0 else float(left[i] / (left[i] - right[i]))
-                        crossings.append((lo + i, frac))
-                crossings.sort()
-            if not crossings:
-                blocks.append((lo, None, origin, total, slope * dt))
-                total = _advance(total, slope * dt, size)
-                continue
-            slopes = np.full(size, slope)
-            for n, _ in crossings:
-                slopes[n - lo + 1 :] *= -1.0
-            incr = slopes * dt
-            by_step: dict[int, list[float]] = {}
-            for n, frac in crossings:
-                by_step.setdefault(n, []).append(frac)
-            for n, fracs in by_step.items():
-                s = slopes[n - lo]
-                travelled, prev = 0.0, 0.0
-                for frac in fracs:
-                    travelled += s * (frac - prev)
-                    s, prev = -s, frac
-                incr[n - lo] = (travelled + s * (1.0 - prev)) * dt
-            incr[0] += total  # 0.0 at a chunk's start, which leaves incr[0] as it is
-            sums = np.cumsum(incr)
-            total = sums[-1]
-            blocks.append((lo, origin + sums, 0.0, 0.0, 0.0))
-            for n in sorted(by_step):
-                s = float(slopes[n - lo])
-                x_cur = _position(blocks, n - 1)
-                prev = 0.0
-                for frac in by_step[n]:
-                    x_cur += s * (frac - prev) * dt
-                    turning.append(((n - 1 + frac) * dt, x_cur))
-                    s, prev = -s, frac
-                turns.append(n)
-            slope *= (-1.0) ** len(crossings)
-        filled += length
+        lo, hi = filled + 1, filled + min(d_int, n_steps - filled)
+        # The samples of steps lo-1..hi read steps up to ``filled``.  Sample
+        # a + d_int reads both sides of a run start a; the samples between two
+        # such cuts read one run, are monotone and are bisected.
+        i, j = bisect.bisect_left(starts, lo - 1 - d_int), bisect.bisect_right(starts, hi - d_int)
+        cuts = [a + d_int for a in starts[i:j]]
+        straddling = {c + i for c in cuts for i in (0, 1)}  # steps whose pair holds a cut
+        candidates = [(m, bound) for m in straddling if lo <= m <= hi for bound in (0.0, 1.0)]
+        edges = [lo - 2, *cuts, hi + 1]
+        for u, v in zip(edges, edges[1:]):
+            for bound in (0.0, 1.0):
+                a, b = u + 1, v - 1
+                sign = side(a, bound) if a < b else 0
+                if sign and side(b, bound) != sign:  # the first step off sign, in a..b
+                    while b - a > 1:
+                        mid = (a + b) // 2
+                        a, b = (mid, b) if side(mid, bound) == sign else (a, mid)
+                    candidates.append((b, bound))
+        crossings = []
+        for m, bound in candidates:
+            frac = crossing(m, bound)
+            if frac is not None:
+                crossings.append((m, frac))
+        # The chunk's runs: from lo, then from each crossing step, the
+        # increment flipping there; ``total`` is the running sum at step first
+        # (at n - 1 on closing a run before step n).
+        first, inc = lo, slope * dt
+        total = inc
+        for n, frac in sorted(crossings) + [(hi + 1, None)]:
+            if n > lo:
+                sums = [total]
+                for _ in range((n - 1 - first) >> 15):
+                    sums.append(_advance(sums[-1], inc, 1 << 15))
+                starts.append(first)
+                runs.append((origin, sums, inc))
+                total = _advance(sums[-1], inc, (n - 1 - first) % (1 << 15))
+            else:
+                total = 0.0
+            if frac is None:
+                break
+            # a delayed sample moves at most dt per step, so a step holds at
+            # most one crossing: step n goes frac of a step one way, the rest back
+            turning.append(((n - 1 + frac) * dt, origin + total + slope * frac * dt))
+            total += (slope * frac - slope * (1.0 - frac)) * dt
+            slope = -slope
+            first, inc = n, slope * dt
+        origin += total
+        filled = hi
     return turning
-
-
-def _position(blocks: list[tuple], n: int) -> float:
-    """``_positions(blocks, n, n)[0]``, the same float, without arrays."""
-    i = bisect.bisect_right(blocks, n, key=lambda block: block[0]) - 1
-    first, xs, origin, before, inc = blocks[i]
-    if xs is not None:
-        return float(xs[n - first])
-    if origin is None:
-        return float(n) * inc
-    return origin + (inc + _advance(before, inc, n - first))
-
-
-def _positions(blocks: list[tuple], a: int, b: int) -> np.ndarray:
-    """The oracle's positions at steps a..b, from its blocks (see float_oracle)."""
-    import numpy as np
-
-    parts = []
-    while a <= b:
-        i = bisect.bisect_right(blocks, a, key=lambda block: block[0]) - 1
-        first, xs, origin, before, inc = blocks[i]
-        last = min(b, blocks[i + 1][0] - 1 if i + 1 < len(blocks) else b)
-        if xs is not None:
-            parts.append(xs[a - first : last - first + 1])
-        elif origin is None:
-            parts.append(np.arange(a, last + 1, dtype=np.float64) * inc)
-        else:
-            sums = np.full(last - a + 1, inc)
-            sums[0] += _advance(before, inc, a - first)
-            parts.append(origin + np.cumsum(sums))
-        a = last + 1
-    return np.concatenate(parts)
 
 
 def _advance(s: float, c: float, n: int) -> float:
@@ -377,12 +364,11 @@ class SweepReport(NamedTuple):
         """The rows without ``k``; an empty cell for missing switches."""
         columns = ("tau", "regime", "predicted_behavior", "predicted_switches",
                    "simulated_behavior", "simulated_switches", "agree")
-        out = io.StringIO()
-        writer = csv.DictWriter(out, columns, extrasaction="ignore", lineterminator="\n")
-        writer.writeheader()
+        lines = [",".join(columns)]
         for row in self._rows():
-            writer.writerow({**row, "agree": "true" if row["agree"] else "false"})
-        return out.getvalue()
+            row["agree"] = "true" if row["agree"] else "false"
+            lines.append(",".join("" if row[c] is None else str(row[c]) for c in columns))
+        return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
         doc = {

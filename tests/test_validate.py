@@ -353,6 +353,22 @@ def test_float_oracle_matches_whole_history_version_on_random_delays(tau, dt, t_
     assume(distance_to_critical(tau) >= 1000 * F(dt))
     assert float_oracle(tau, dt=dt, t_end=t_end) == _whole_history_oracle(float(tau), dt, t_end)
 
+
+@settings(max_examples=150, deadline=None)
+@given(
+    steps=st.fractions(1, 300, max_denominator=1000),
+    dt=st.sampled_from([1e-6, 5e-7, 2.5e-7]),
+    delays=st.floats(0.5, 60),
+)
+def test_float_oracle_matches_whole_history_version_on_short_delays(steps, dt, delays):
+    # chunks of a few hundred steps at most, with crossings every delay or
+    # so: they fall at chunk edges and right after the start of a run
+    tau = steps * F(dt)
+    t_end = delays * float(tau)
+    assume(tau / dt >= 1 and int(float(tau) / dt) >= 1)
+    assert float_oracle(tau, dt=dt, t_end=t_end) == _whole_history_oracle(float(tau), dt, t_end)
+
+
 def test_advance_matches_step_by_step_sums():
     rng = random.Random(7)
     # a sum that falls just below a power of two, onto the finer grid there
@@ -377,10 +393,10 @@ def test_float_oracle_memory_does_not_grow_with_t_end():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # blocks of 2^15 samples near a crossing (7 MB), not the history's
-    # delay's worth of samples (1.35e6 floats, 11 MB and a copy) nor the
-    # 20e6 steps of the whole run (160 MB)
-    assert peak < 12 * 2**20
+    # a few floats per run of constant increment and per 2^15 steps (about
+    # 25 kB), not the history's delay's worth of samples (1.35e6 floats,
+    # 11 MB and a copy) nor the 20e6 steps of the whole run (160 MB)
+    assert peak < 2**20
 
 
 def test_sweep_endpoints_only():
