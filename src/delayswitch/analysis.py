@@ -112,18 +112,19 @@ def distance_to_critical(tau: Rat) -> Rat:
     return min(abs(c - tau) for c in critical_neighbours(k))
 
 
-def closed_coefficient_rows(j: int = 1) -> Iterator[tuple[int, int, int, int]]:
-    """Integers (a, b, c, d) with beta_j = a*tau + b and alpha_j = c*tau + d
-    (so q*beta_j = a*p + b*q and q*alpha_j = c*p + d*q for tau = p/q), for j,
-    j + 1, ... without end.  Stepping u = (-2)^(j-1) and v = 2^(j-1) from row
-    to row, the docstring formulas of beta_closed and alpha_closed read
-    a = (6j + 1 + 2u)/9, b = (1 - u)/3, c = (2v + (-1)^(j+1))/3, d = 1 - v."""
+def closed_points(tau: Rat, j: int = 1) -> Iterator[tuple[int, int]]:
+    """The engine's scaled switch (q*beta_j, q*alpha_j) for tau = p/q, for j,
+    j + 1, ... without end.  With s = (-1)^(j-1) and w = 2^(j-1)*(2p - 3q) the
+    formulas of beta_closed and alpha_closed read 9q*beta_j = (6j + 1)p + 3q +
+    s*w and 3q*alpha_j = w + 3q + s*p; each row flips s and doubles w, so no
+    row multiplies two big ints."""
     if j < 1:
         raise ValueError("j must be >= 1")
-    u, v = (-2) ** (j - 1), 2 ** (j - 1)
+    p, q = Fraction(tau).as_integer_ratio()
+    b, s, w = (6 * j + 1) * p + 3 * q, (-1) ** (j - 1), (2 * p - 3 * q) << (j - 1)
     while True:
-        yield (6 * j + 1 + 2 * u) // 9, (1 - u) // 3, (2 * v + 2 * (j & 1) - 1) // 3, 1 - v
-        j, u, v = j + 1, -2 * u, 2 * v
+        yield (b + s * w) // 9, (w + 3 * q + s * p) // 3
+        b, s, w = b + 6 * p, -s, 2 * w
 
 
 def beta_closed(j: int, tau: Rat) -> Rat:
@@ -131,8 +132,7 @@ def beta_closed(j: int, tau: Rat) -> Rat:
 
     beta_j = (6j + 1 - (-2)^j)/9 * tau - ((-2)^(j-1) - 1)/3.
     """
-    a, b, _, _ = next(closed_coefficient_rows(j))
-    return a * Fraction(tau) + b
+    return Fraction(next(closed_points(tau, j))[0], Fraction(tau).denominator)
 
 
 def beta_recurrence(j_max: int, tau: Rat) -> list[Rat]:
@@ -154,8 +154,7 @@ def alpha_closed(j: int, tau: Rat) -> Rat:
 
     alpha_j = (2^j - (-1)^j)/3 * tau - 2^(j-1) + 1.
     """
-    _, _, c, d = next(closed_coefficient_rows(j))
-    return c * Fraction(tau) + d
+    return Fraction(next(closed_points(tau, j))[1], Fraction(tau).denominator)
 
 
 def horizon_J(tau: Rat) -> int:
@@ -164,9 +163,10 @@ def horizon_J(tau: Rat) -> int:
     The largest J such that alpha_j > 1 at every odd j < J and alpha_j < 1 at
     every even j < J; equivalently the first index at which the alternating
     inequalities fail.  Defined for tau in [4/3, 3/2), where it is found in
-    O(1): even j never fail below 3/2, and odd j = 2m+1 holds iff
-    tau > tau_m, so with tau_k <= tau < tau_{k+1} J is 2k+1 at tau_k and
-    2k+3 elsewhere.
+    O(1): 3q*(alpha_j - 1) = w + s*p in the terms of closed_points, so even
+    j (s = -1, w < 0) never fail below 3/2, and odd j = 2m+1 holds iff
+    p > 4^m*(3q - 2p), that is iff tau > tau_m; so with tau_k <= tau <
+    tau_{k+1} J is 2k+1 at tau_k and 2k+3 elsewhere.
     """
     tau = Fraction(tau)
     k = window_k(tau)

@@ -130,7 +130,7 @@ def _interleaving_ok(k: int) -> bool:
 
 
 def _critical_rows(args):
-    """The table's rows, one k at a time, so that CSV prints each as it comes."""
+    """The table's rows, one k at a time, so that each is printed as it comes."""
     kind = analysis.CriticalKind(args.kind)
     for k in range(args.k_from, args.k_to + 1):
         value = analysis.critical_value(kind, k)
@@ -148,7 +148,12 @@ def _cmd_critical(args) -> int:
         raise ValueError("need 1 <= --k-from <= --k-to")
     rows = _critical_rows(args)
     if args.format == "json":
-        print(json.dumps(list(rows), indent=2))
+        # the text of json.dumps(list(rows), indent=2), one row at a time
+        lead = "[\n  "
+        for row in rows:
+            print(lead + json.dumps(row, indent=2).replace("\n", "\n  "), end="")
+            lead = ",\n  "
+        print("\n]")
     else:
         print("kind,k,exact,decimal,interleaving_ok")
         for row in rows:
@@ -307,7 +312,8 @@ def _main(argv: list[str] | None) -> int:
         return _fail(str(exc), EXIT_USAGE)
     except BrokenPipeError:
         # the reader left: say nothing, and let the final flush write nowhere
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
         return 141
     except OSError as exc:
         return _fail(str(exc), EXIT_IO)

@@ -8,7 +8,8 @@ checks read one engine outcome: the caller that owns the limits runs
 ``check_theorem`` runs ``engine.run(tau)``, whose limits cover the window,
 and ``check_closed_form`` runs only the J = ``horizon_J(tau)`` switchings it
 reads.  The period certificate reads that outcome's rows, so no check
-simulates a second time.  ``sweep`` runs the classifier-vs-simulator
+simulates a second time; ``check_closed_form`` compares its scaled switches
+with ``analysis.closed_points``.  ``sweep`` runs the classifier-vs-simulator
 comparison over every regime up to a chosen k and serializes the result as
 CSV or JSON; disagreements are report rows, never aborts.
 
@@ -143,16 +144,16 @@ def check_closed_form(tau: Rat, outcome: engine.Outcome | None = None) -> Closed
         raise ValueError("check_closed_form requires tau in [4/3, 3/2)")
     horizon = analysis.horizon_J(tau)
     outcome = engine.run(tau, horizon) if outcome is None else _outcome_of(tau, outcome)
-    p, q = tau.numerator, tau.denominator
+    q = tau.denominator
     points = outcome.trace.switches  # (q*beta_j, q*alpha_j)
     mismatches: list[str] = []
     if len(points) < horizon:
         mismatches.append(f"trace has {len(points)} switchings, horizon is {horizon}")
-    rows = analysis.closed_coefficient_rows()
-    for j, (t, x), (a, b, c, d) in zip(range(1, horizon + 1), points, rows):
-        if t != a * p + b * q:
+    closed = analysis.closed_points(tau)
+    for j, (t, x), (t_closed, x_closed) in zip(range(1, horizon + 1), points, closed):
+        if t != t_closed:
             mismatches.append(f"beta_{j}")
-        if x != c * p + d * q:
+        if x != x_closed:
             mismatches.append(f"alpha_{j}")
     simulated_horizon: int | None = None
     for j, (_, x) in enumerate(points, start=1):

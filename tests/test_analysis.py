@@ -14,7 +14,7 @@ from delayswitch.analysis import (
     beta_closed,
     beta_recurrence,
     classify,
-    closed_coefficient_rows,
+    closed_points,
     critical_neighbours,
     critical_value,
     distance_to_critical,
@@ -137,27 +137,26 @@ def test_alpha_routes_agree():
             assert alpha_from_beta(j, tau, betas) == alpha_closed(j, tau)
 
 
-def test_stepped_coefficient_rows_match_the_docstring_formulas():
+@given(
+    tau=st.builds(F, st.integers(1, 10**40), st.integers(1, 10**40)),
+    j=st.integers(1, 300),
+)
+@example(tau=F(4, 3), j=1)
+@example(tau=F(147, 100), j=117)
+def test_closed_points_match_the_docstring_formulas(tau, j):
     # beta_j = (6j + 1 - (-2)^j)/9 * tau - ((-2)^(j-1) - 1)/3 and
-    # alpha_j = (2^j - (-1)^j)/3 * tau - 2^(j-1) + 1, each coefficient an integer
-    formulas = [
-        (
-            F(6 * j + 1 - (-2) ** j, 9),
-            -F((-2) ** (j - 1) - 1, 3),
-            F(2**j - (-1) ** j, 3),
-            F(1 - 2 ** (j - 1)),
-        )
-        for j in range(1, 301)
-    ]
-    assert all(v.denominator == 1 for row in formulas for v in row)
-    rows = closed_coefficient_rows()
-    assert [next(rows) for _ in range(300)] == formulas
-    assert [next(closed_coefficient_rows(j)) for j in range(1, 301)] == formulas
-    rows = closed_coefficient_rows(117)
-    assert [next(rows) for _ in range(184)] == formulas[116:]
-    for j in (0, -3):
+    # alpha_j = (2^j - (-1)^j)/3 * tau - 2^(j-1) + 1, times q: two integers
+    q = tau.denominator
+    points = closed_points(tau, j)
+    for i in range(j, j + 6):
+        beta = F(6 * i + 1 - (-2) ** i, 9) * tau - F((-2) ** (i - 1) - 1, 3)
+        alpha = F(2**i - (-1) ** i, 3) * tau - 2 ** (i - 1) + 1
+        t, x = next(points)
+        assert type(t) is int and type(x) is int
+        assert (t, x) == (beta * q, alpha * q)
+    for bad in (0, 1 - j):
         with pytest.raises(ValueError):
-            next(closed_coefficient_rows(j))
+            next(closed_points(tau, bad))
 
 
 def test_alpha_closed_values():

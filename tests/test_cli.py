@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from delayswitch import analysis, engine
+from delayswitch import analysis, cli, engine
 from delayswitch.analysis import CriticalKind, critical_value
 from delayswitch.cli import main
 from delayswitch.exact import rat_format
@@ -158,6 +159,27 @@ def test_cli_answers_past_the_int_digit_limit_and_restores_it(capsys):
     assert code == 0 and sys.get_int_max_str_digits() == limit
     doc = json.loads(out)
     assert (doc["regime"], doc["k"], doc["switch_count"]) == ("open_theta_zeta", 8306, 16618)
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int <-> str digit limit"
+)
+def test_library_rat_format_stops_at_the_int_digit_limit_the_cli_lifts(capsys):
+    # tau_7200 has 4,336 digits a side: past the default limit of 4,300,
+    # which the library keeps and the CLI lifts for each call
+    value = critical_value(CriticalKind.TAU, 7200)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(ValueError):
+            rat_format(value)
+        argv = ("critical", "--kind", "tau", "--k-from", "7200", "--k-to", "7200")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and sys.get_int_max_str_digits() == 4300
+        sys.set_int_max_str_digits(0)
+        assert rat_format(value) == out.splitlines()[1].split(",")[2]
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_importing_the_package_keeps_the_int_digit_limit():
@@ -465,6 +487,33 @@ def test_critical_stops_making_rows_once_stdout_closes(monkeypatch):
         os.close(devnull)
     assert code == 141 and sink.writes == 2
     assert len(calls) <= 2
+
+
+def _lowest_free_fd() -> int:
+    fd = os.open(os.devnull, os.O_RDONLY)
+    os.close(fd)
+    return fd
+
+
+def test_closed_stdout_calls_leave_no_descriptor_open():
+    # each call points its closed stdout at /dev/null and closes what it opened
+    before = _lowest_free_fd()
+    for _ in range(5):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader has left
+        with open(write_end, "w") as closed, contextlib.redirect_stdout(closed):
+            code = main(["critical", "--kind", "tau", "--k-from", "1", "--k-to", "50"])
+        assert code == 141
+    assert _lowest_free_fd() == before
+
+
+@pytest.mark.parametrize("kind, k_from, k_to", [("tau", 1, 1), ("tau", 1, 4), ("zeta", 3, 9)])
+def test_critical_json_prints_the_whole_list_row_by_row(capsys, kind, k_from, k_to):
+    argv = ("critical", "--kind", kind, "--k-from", str(k_from), "--k-to", str(k_to))
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    rows = list(cli._critical_rows(argparse.Namespace(kind=kind, k_from=k_from, k_to=k_to)))
+    assert code == 0 and len(rows) == k_to - k_from + 1
+    assert out == json.dumps(rows, indent=2) + "\n"
 
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():

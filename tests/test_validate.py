@@ -229,6 +229,18 @@ def test_check_closed_form_horizon_beyond_j_200():
         check_closed_form(F(3, 2))
 
 
+@pytest.mark.parametrize("kind", list(CriticalKind))
+def test_check_closed_form_agrees_at_k_3000(kind):
+    # J = 6,001 or 6,003 rows of ints of about 6,000 bits, from the horizon
+    # run of a bare tau and from the full run of a given outcome
+    tau = critical_value(kind, 3000)
+    horizon = 6001 if kind is CriticalKind.TAU else 6003
+    for outcome in (None, engine.run(tau)):
+        record = check_closed_form(tau, outcome)
+        assert record.agree, record.mismatches[:3]
+        assert record.horizon == record.simulated_horizon == horizon
+
+
 def test_float_oracle_refuses_critical_values():
     for tau in (F(63, 43), F(4, 3), F(7, 5)):
         with pytest.raises(OracleRefusal):
