@@ -113,18 +113,20 @@ def distance_to_critical(tau: Rat) -> Rat:
 
 
 def closed_points(tau: Rat, j: int = 1) -> Iterator[tuple[int, int]]:
-    """The engine's scaled switch (q*beta_j, q*alpha_j) for tau = p/q, for j,
-    j + 1, ... without end.  With s = (-1)^(j-1) and w = 2^(j-1)*(2p - 3q) the
-    formulas of beta_closed and alpha_closed read 9q*beta_j = (6j + 1)p + 3q +
-    s*w and 3q*alpha_j = w + 3q + s*p; each row flips s and doubles w, so no
-    row multiplies two big ints."""
+    """The engine's scaled switch (q*beta_j, q*alpha_j) times 9 and 3, that
+    is (9q*beta_j, 3q*alpha_j) for tau = p/q, for j, j + 1, ... without end.
+    With s = (-1)^(j-1) and w = 2^(j-1)*(2p - 3q) the formulas of beta_closed
+    and alpha_closed read 9q*beta_j = (6j + 1)p + 3q + s*w and 3q*alpha_j =
+    w + 3q + s*p; each row flips s and doubles w, so no row multiplies two
+    big ints or divides."""
     if j < 1:
         raise ValueError("j must be >= 1")
     p, q = Fraction(tau).as_integer_ratio()
     b, s, w = (6 * j + 1) * p + 3 * q, (-1) ** (j - 1), (2 * p - 3 * q) << (j - 1)
+    three_q, six_p = 3 * q, 6 * p
     while True:
-        yield (b + s * w) // 9, (w + 3 * q + s * p) // 3
-        b, s, w = b + 6 * p, -s, 2 * w
+        yield b + s * w, w + three_q + s * p
+        b, s, w = b + six_p, -s, 2 * w
 
 
 def beta_closed(j: int, tau: Rat) -> Rat:
@@ -132,7 +134,7 @@ def beta_closed(j: int, tau: Rat) -> Rat:
 
     beta_j = (6j + 1 - (-2)^j)/9 * tau - ((-2)^(j-1) - 1)/3.
     """
-    return Fraction(next(closed_points(tau, j))[0], Fraction(tau).denominator)
+    return Fraction(next(closed_points(tau, j))[0], 9 * Fraction(tau).denominator)
 
 
 def beta_recurrence(j_max: int, tau: Rat) -> list[Rat]:
@@ -154,7 +156,7 @@ def alpha_closed(j: int, tau: Rat) -> Rat:
 
     alpha_j = (2^j - (-1)^j)/3 * tau - 2^(j-1) + 1.
     """
-    return Fraction(next(closed_points(tau, j))[1], Fraction(tau).denominator)
+    return Fraction(next(closed_points(tau, j))[1], 3 * Fraction(tau).denominator)
 
 
 def horizon_J(tau: Rat) -> int:

@@ -18,11 +18,14 @@ exact recurrence of that state across two switch instants certifies
 periodicity, and an empty pending queue while the path moves away from both
 boundaries certifies divergence.  The loop keeps every scheduled switch
 time in one append-only list and indexes the states it has seen by (slope,
-position), comparing pending offsets only when such a pair repeats.
-Simulation starts on the rising branch from x(0) = 0.  As in the paper, the
-history on [-tau, 0] stays clear of {0, 1} before time zero; every such
-history then yields the same solution, because the only inherited event is
-the hit at t = 0, so the engine takes no history.
+position), comparing pending offsets only when such a pair repeats.  A
+fixed-length replay needs any recurrence, not the earliest: it compares each
+state with the one saved at switch 1, 2, 4, 8, ... (Brent's cycle check)
+and, once one recurs, repeats that cycle's rows, shifted by its period, up
+to its limits.  Simulation starts on the rising branch from x(0) = 0.  As
+in the paper, the history on [-tau, 0] stays clear of {0, 1} before time
+zero; every such history then yields the same solution, because the only
+inherited event is the hit at t = 0, so the engine takes no history.
 """
 
 from __future__ import annotations
@@ -132,9 +135,13 @@ def _simulate(
     ends the run as Periodic.  ``head`` is also the number of switches run,
     and ``seen`` maps (slope, X) to the entries (head, T, len(due)) of the
     states seen there, whose offsets are compared only when the pair
-    repeats.  An empty queue with the ray pointing away from both boundaries
-    ends the run as Divergent; the limits end it as Undetermined, and a
-    limit of zero or less raises ValueError.
+    repeats.  Without ``detect_period``, ``saved`` holds (slope, X, T, head,
+    len(due), len(events)) at the last switch whose count is a power of two;
+    a later state equal to it closes a cycle, and :func:`_repeat_cycle`
+    writes the rest of the run from that cycle's rows.  An empty queue with
+    the ray pointing away from both boundaries ends the run as Divergent; the
+    limits end it as Undetermined, and a limit of zero or less raises
+    ValueError.
     """
     if (max_switches is not None and max_switches <= 0) or (max_time is not None and max_time <= 0):
         raise ValueError("limits must be positive")
@@ -157,6 +164,7 @@ def _simulate(
     due = [p]  # every switch time scheduled, increasing; pending: due[head:]
     events = [(0, 0, "hit")]
     seen: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
+    saved = (0, 0, 0, 0, 0, 0)  # slope 0 matches no state
     while True:
         if head == len(due) and (x < 0 if slope < 0 else x > q):
             return Divergent(slope, head, SimTrace(tau, tuple(events)))
@@ -205,6 +213,54 @@ def _simulate(
                         trace=SimTrace(tau, tuple(events)),
                     )
                 entries.append(entry)
+            else:
+                s_slope, s_x, t_s, i, n_due, n_rows = saved
+                if (
+                    x == s_x
+                    and slope == s_slope
+                    and head < max_switches
+                    and t < t_cap  # else the loop stops at this instant
+                    and [d - t for d in due[head:]] == [d - t_s for d in due[i:n_due]]
+                ):
+                    block = events[n_rows:]  # the rows after switch i up to this one
+                    m, period = head - i, t - t_s
+                    head = _repeat_cycle(events, block, head, m, t, period, max_switches, t_cap)
+                    stopped_by = "max_switches" if head >= max_switches else "max_time"
+                    return Undetermined(head, SimTrace(tau, tuple(events)), stopped_by)
+                if not head & (head - 1):  # a power of two: save this state instead
+                    saved = (slope, x, t, head, len(due), len(events))
+
+
+def _repeat_cycle(
+    events: list[tuple[int, int, str]],
+    block: list[tuple[int, int, str]],
+    head: int,
+    m: int,
+    t: int,
+    period: int,
+    max_switches: int,
+    t_cap: int,
+) -> int:
+    """Append ``block``, the rows of one cycle of m switches ending with
+    switch ``head`` at time t, shifted by r*period for r = 1, 2, ..., up to
+    where the event loop stops: after the first instant at which the switch
+    count reaches max_switches or the time reaches t_cap, a hit and a switch
+    at one instant staying together.  Returns the switch count there."""
+    # the r-th repetition is the first to end on a limit, so it holds the cut
+    r = min(-(-(max_switches - head) // m), -(-(t_cap - t) // period))
+    events += [(u + n * period, y, kind) for n in range(1, r) for u, y, kind in block]
+    head += (r - 1) * m
+    shift = r * period
+    for j, (u, _, kind) in enumerate(block):
+        if kind == "switch":
+            head += 1
+        if head >= max_switches or u + shift >= t_cap:
+            break
+    if kind == "hit" and block[j + 1][0] == u:  # the switch at the hit's instant
+        j += 1
+        head += 1
+    events += [(u + shift, y, kind) for u, y, kind in block[: j + 1]]
+    return head
 
 
 def run(
@@ -233,12 +289,14 @@ def simulate_switches(
     n_switches: int,
     max_time: Rat = 10 * DEFAULT_MAX_TIME,
 ) -> SimTrace:
-    """Advance through n_switches switchings with recurrence detection off.
+    """Advance through n_switches switchings, past any recurrence.
 
     A fixed-length replay for long traces, such as many periods drawn or
     cross-checked at once (``perfbench``'s horizon workload); the package
-    itself never calls it.  Stops early only on divergence or the time cap;
-    callers inspect the trace length.
+    itself never calls it.  Once the state recurs, the rest of the trace is
+    the cycle's rows shifted by whole periods, cut where stepping would stop.
+    Stops early only on divergence or the time cap; callers inspect the
+    trace length.
     """
     return _simulate(tau, n_switches, max_time, detect_period=False).trace
 

@@ -149,11 +149,11 @@ def check_closed_form(tau: Rat, outcome: engine.Outcome | None = None) -> Closed
     mismatches: list[str] = []
     if len(points) < horizon:
         mismatches.append(f"trace has {len(points)} switchings, horizon is {horizon}")
-    closed = analysis.closed_points(tau)
+    closed = analysis.closed_points(tau)  # (9q*beta_j, 3q*alpha_j)
     for j, (t, x), (t_closed, x_closed) in zip(range(1, horizon + 1), points, closed):
-        if t != t_closed:
+        if 9 * t != t_closed:
             mismatches.append(f"beta_{j}")
-        if x != x_closed:
+        if 3 * x != x_closed:
             mismatches.append(f"alpha_{j}")
     simulated_horizon: int | None = None
     for j, (_, x) in enumerate(points, start=1):

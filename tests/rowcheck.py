@@ -1,9 +1,51 @@
-"""Reference check that a trace's scaled rows obey the dynamics.
+"""Reference check that a trace's scaled rows obey the dynamics, and a plain
+stepper that writes such rows.
 
-The tests use it in place of reading the engine's internals: with
+The tests use them in place of reading the engine's internals: with
 tau = p/q, every row (T, X, kind) of a trace is an event at T/q, X/q, and a
 trace is a solution of the system exactly when its rows pass this check.
+Neither imports the engine, so the tests can hold the engine to them.
 """
+
+from fractions import Fraction
+
+
+def step_rows(tau, max_switches: int, max_time=100_000) -> tuple[tuple[int, int, str], ...]:
+    """The rows of the run from x(0) = 0, one event per step, on ints scaled by q.
+
+    Each step takes the earliest of the next due switch and the next
+    boundary strictly ahead of the ray, the hit first when they coincide.
+    The run stops on divergence (nothing due, no boundary ahead) and after
+    the first instant at which max_switches switches have run or the time
+    has reached max_time; an instant ends only once its due switch has run.
+    Nothing here looks for a recurrence: a periodic run is stepped to the end.
+    """
+    tau, max_time = Fraction(tau), Fraction(max_time)
+    p, q = tau.numerator, tau.denominator
+    t_cap = -(-max_time.numerator * q // max_time.denominator)  # ceil(max_time * q)
+    t, x, slope, switches = 0, 0, 1, 0
+    pending = [p]  # switch times due, in order
+    rows = [(0, 0, "hit")]
+    while True:
+        ahead = [abs(b - x) for b in (0, q) if (b - x) * slope > 0]
+        hit_at = t + min(ahead) if ahead else None
+        if pending and (hit_at is None or pending[0] < hit_at):
+            t, kind = pending.pop(0), "switch"
+        else:
+            t, kind = hit_at, "hit"
+        x = rows[-1][1] + slope * (t - rows[-1][0])
+        rows.append((t, x, kind))
+        if kind == "hit":
+            pending.append(t + p)
+        else:
+            switches += 1
+            slope = -slope
+        if pending and pending[0] == t:
+            continue  # the switch at this hit's instant is still to run
+        if not pending and not any((b - x) * slope > 0 for b in (0, q)):
+            return tuple(rows)
+        if switches >= max_switches or t >= t_cap:
+            return tuple(rows)
 
 
 def check_rows(trace) -> str | None:

@@ -145,7 +145,8 @@ def test_alpha_routes_agree():
 @example(tau=F(147, 100), j=117)
 def test_closed_points_match_the_docstring_formulas(tau, j):
     # beta_j = (6j + 1 - (-2)^j)/9 * tau - ((-2)^(j-1) - 1)/3 and
-    # alpha_j = (2^j - (-1)^j)/3 * tau - 2^(j-1) + 1, times q: two integers
+    # alpha_j = (2^j - (-1)^j)/3 * tau - 2^(j-1) + 1, times 9q and 3q: two
+    # integers
     q = tau.denominator
     points = closed_points(tau, j)
     for i in range(j, j + 6):
@@ -153,7 +154,7 @@ def test_closed_points_match_the_docstring_formulas(tau, j):
         alpha = F(2**i - (-1) ** i, 3) * tau - 2 ** (i - 1) + 1
         t, x = next(points)
         assert type(t) is int and type(x) is int
-        assert (t, x) == (beta * q, alpha * q)
+        assert (t, x) == (9 * q * beta, 3 * q * alpha)
     for bad in (0, 1 - j):
         with pytest.raises(ValueError):
             next(closed_points(tau, bad))

@@ -9,13 +9,14 @@ from delayswitch.analysis import CriticalKind, alpha_closed, beta_closed, critic
 from delayswitch.engine import (
     Divergent,
     Periodic,
+    SimTrace,
     TraceEvent,
     Undetermined,
     behavior_label,
     run,
     simulate_switches,
 )
-from rowcheck import check_rows
+from rowcheck import check_rows, step_rows
 
 
 def random_tau_in_window(rng: random.Random) -> F:
@@ -155,7 +156,7 @@ def test_detect_period_earliest_pair(tau, max_switches, max_time):
         assert earliest_recurrence(post_switch_states(out.trace.turning_points, tau)) is None
         return
     i, m = out.start_switch, out.switchings_per_period
-    replay = simulate_switches(tau, i + 2 * m + 4).turning_points
+    replay = SimTrace(tau, step_rows(tau, i + 2 * m + 4)).turning_points
     assert earliest_recurrence(post_switch_states(replay, tau)) == (i, i + m)
     assert out.least_period == replay[i + m - 1].beta - replay[i - 1].beta
 
@@ -167,7 +168,7 @@ def test_detect_period_distinguishes_offsets():
     tau = F(11, 8)
     out = run(tau)
     i, m = out.start_switch, out.switchings_per_period
-    states = post_switch_states(simulate_switches(tau, i + 2 * m + 4).turning_points, tau)
+    states = post_switch_states(SimTrace(tau, step_rows(tau, i + 2 * m + 4)).turning_points, tau)
     assert states[5] == (1, F(-7, 8), (F(1, 4), F(1, 2)))
     assert states[7] == (1, F(-7, 8), ())
     assert (i, i + m) != (6, 8) and i + m > 8

@@ -1,6 +1,7 @@
 """Property tests: the exact engine against the closed forms on random delays,
 its rows against the dynamics, its own limits against the old fixed ones,
-and the row period certificate against a replay of the engine.
+the row period certificate against a plain stepper's replay, and the
+replay's repeated cycle against that stepper.
 
 Delays are random rationals in [4/3, 3/2) with denominators up to 10^12,
 plus the exact critical values, where the behaviour changes.
@@ -8,7 +9,7 @@ plus the exact critical values, where the behaviour changes.
 
 from fractions import Fraction as F
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from delayswitch.analysis import (
@@ -20,9 +21,16 @@ from delayswitch.analysis import (
     critical_value,
     horizon_J,
 )
-from delayswitch.engine import Divergent, Periodic, SimTrace, run, simulate_switches
+from delayswitch.engine import (
+    DEFAULT_MAX_TIME,
+    Divergent,
+    Periodic,
+    SimTrace,
+    run,
+    simulate_switches,
+)
 from delayswitch.validate import periodicity_certificate
-from rowcheck import check_rows
+from rowcheck import check_rows, step_rows
 
 
 @st.composite
@@ -80,11 +88,12 @@ def test_fraction_views_equal_the_scaled_rows(tau, n_switches):
 
 
 def replay_certificate(outcome: Periodic) -> bool:
-    """The reference certificate: replay one extra period from t = 0 and
-    require switch n + m to fall least_period after switch n at the same
-    position, for every n in the claimed cycle."""
+    """The reference certificate: step one extra period from t = 0 with the
+    plain stepper and require switch n + m to fall least_period after switch
+    n at the same position, for every n in the claimed cycle."""
     i, m = outcome.start_switch, outcome.switchings_per_period
-    points = simulate_switches(outcome.trace.tau, i + 2 * m - 1).switches
+    rows = step_rows(outcome.trace.tau, i + 2 * m - 1)
+    points = [(t, x) for t, x, kind in rows if kind == "switch"]
     period = outcome.least_period * outcome.trace.tau.denominator
     if len(points) < i + 2 * m - 1:
         return False
@@ -162,3 +171,59 @@ def test_window_runs_up_to_k_64_keep_the_fixed_limits(tau):
     # in time below k = 1,249, so these runs (every one the benchmark makes)
     # are the runs under the old fixed limits
     assert run(tau) == run(tau, 10_000, 10_000)
+
+
+def _first_recurrence_seen(outcome: Periodic) -> int:
+    """The switch at which a replay comparing each state with the one saved
+    at switch 1, 2, 4, 8, ... first meets a recurrence: the saved state at
+    the least power of two s >= max(i, m) comes back m switches later."""
+    i, m = outcome.start_switch, outcome.switchings_per_period
+    return (1 << (max(i, m) - 1).bit_length()) + m
+
+
+@st.composite
+def replay_cuts(draw) -> tuple[F, int, F]:
+    """A delay below, inside or above the window, and a switch count and a
+    time limit that end its replay before the recurrence is seen, exactly
+    there or after it, some on an instant holding a hit and a switch."""
+    tau = draw(
+        st.one_of(
+            window_delays(),
+            critical_delays,
+            st.fractions(F(1, 5), F(4, 3), max_denominator=10**6).filter(lambda tau: tau > 0),
+            st.fractions(F(3, 2), F(5, 2), max_denominator=2000),
+        )
+    )
+    out = run(tau)
+    if isinstance(out, Periodic):
+        seen = _first_recurrence_seen(out)
+        end = seen + 3 * out.switchings_per_period + 3
+    else:
+        seen = end = len(out.trace.switches) + 2
+    rows = step_rows(tau, end)
+    switch_times = [t for t, _, kind in rows if kind == "switch"]
+    t_seen = switch_times[min(seen, len(switch_times)) - 1]
+    instants = [a[0] for a, b in zip(rows, rows[1:]) if a[0] == b[0]]  # a hit and a switch
+    n = draw(st.sampled_from([seen - 1, seen, seen + 1, end]) | st.integers(1, end))
+    near = [t_seen - 1, t_seen, t_seen + 1, *instants]
+    cut = draw(st.sampled_from(near) | st.integers(1, rows[-1][0] + 1))
+    limit = draw(st.sampled_from([F(cut, tau.denominator), F(10 * DEFAULT_MAX_TIME)]))
+    return tau, max(n, 1), max(limit, F(1, tau.denominator))
+
+
+@settings(max_examples=200, deadline=None)
+@given(replay_cuts())
+@example((critical_value(CriticalKind.TAU, 1), 10_000, F(18)))  # cut on a hit and a switch
+@example((critical_value(CriticalKind.TAU, 2), 10_000, F(342, 11)))  # the same, 16/11
+@example((critical_value(CriticalKind.TAU, 1), 18, F(10 * DEFAULT_MAX_TIME)))
+@example((critical_value(CriticalKind.TAU, 1), 20_000, F(10 * DEFAULT_MAX_TIME)))
+@example((F(63, 43), 50, F(10 * DEFAULT_MAX_TIME)))  # divergent: no recurrence
+@example((critical_value(CriticalKind.THETA, 1), 50, F(10 * DEFAULT_MAX_TIME)))
+@example((F(5, 2), 50, F(10 * DEFAULT_MAX_TIME)))
+def test_replay_repeats_its_cycle_as_the_stepper_runs(cut):
+    # past a recurrence the replay repeats the cycle's rows instead of
+    # stepping; it must stop on the very row where stepping would
+    tau, n, max_time = cut
+    trace = simulate_switches(tau, n, max_time)
+    assert trace.rows == step_rows(tau, n, max_time)
+    assert check_rows(trace) is None
