@@ -19,13 +19,12 @@ periodicity, and an empty pending queue while the path moves away from both
 boundaries certifies divergence.  The loop keeps every scheduled switch
 time in one append-only list and indexes the states it has seen by (slope,
 position), comparing pending offsets only when such a pair repeats.  A
-fixed-length replay needs any recurrence, not the earliest: it compares each
-state with the one saved at switch 1, 2, 4, 8, ... (Brent's cycle check)
-and, once one recurs, repeats that cycle's rows, shifted by its period, up
-to its limits.  Simulation starts on the rising branch from x(0) = 0.  As
-in the paper, the history on [-tau, 0] stays clear of {0, 1} before time
-zero; every such history then yields the same solution, because the only
-inherited event is the hit at t = 0, so the engine takes no history.
+fixed-length replay finds its recurrence the same way and then repeats that
+cycle's rows, shifted by its period, up to its limits.  Simulation starts on
+the rising branch from x(0) = 0.  As in the paper, the history on [-tau, 0]
+stays clear of {0, 1} before time zero; every such history then yields the
+same solution, because the only inherited event is the hit at t = 0, so the
+engine takes no history.
 """
 
 from __future__ import annotations
@@ -132,16 +131,13 @@ def _simulate(
     first, so the post-switch state already holds the freshly scheduled
     switch.  The post-switch state (slope, X, pending offsets) is the
     complete Markov state; with ``detect_period`` its first exact recurrence
-    ends the run as Periodic.  ``head`` is also the number of switches run,
-    and ``seen`` maps (slope, X) to the entries (head, T, len(due)) of the
-    states seen there, whose offsets are compared only when the pair
-    repeats.  Without ``detect_period``, ``saved`` holds (slope, X, T, head,
-    len(due), len(events)) at the last switch whose count is a power of two;
-    a later state equal to it closes a cycle, and :func:`_repeat_cycle`
-    writes the rest of the run from that cycle's rows.  An empty queue with
-    the ray pointing away from both boundaries ends the run as Divergent; the
-    limits end it as Undetermined, and a limit of zero or less raises
-    ValueError.
+    ends the run as Periodic, and without it :func:`_repeat_cycle` writes the
+    rest of the run from the rows of the cycle it closes.  ``head`` is also
+    the number of switches run, and ``seen`` maps (slope, X) to the entries
+    (head, T, len(due), len(events)) of the states seen there, whose offsets
+    are compared only when the pair repeats.  An empty queue with the ray
+    pointing away from both boundaries ends the run as Divergent; the limits
+    end it as Undetermined, and a limit of zero or less raises ValueError.
     """
     if (max_switches is not None and max_switches <= 0) or (max_time is not None and max_time <= 0):
         raise ValueError("limits must be positive")
@@ -163,8 +159,7 @@ def _simulate(
     slope = 1  # +1 exactly while the number of executed switches is even
     due = [p]  # every switch time scheduled, increasing; pending: due[head:]
     events = [(0, 0, "hit")]
-    seen: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
-    saved = (0, 0, 0, 0, 0, 0)  # slope 0 matches no state
+    seen: dict[tuple[int, int], list[tuple[int, int, int, int]]] = {}
     while True:
         if head == len(due) and (x < 0 if slope < 0 else x > q):
             return Divergent(slope, head, SimTrace(tau, tuple(events)))
@@ -196,39 +191,28 @@ def _simulate(
             head += 1
             slope = -slope
             events.append((t, x, "switch"))
-            if detect_period:
-                entry = (head, t, len(due))
-                entries = seen.get((slope, x))
-                if entries is None:
-                    seen[slope, x] = [entry]
-                    continue
-                offsets = [d - t for d in due[head:]]
-                same = [e for e in entries if [d - e[1] for d in due[e[0] : e[2]]] == offsets]
-                if same:
-                    i, t_i, _ = same[0]
+            entry = (head, t, len(due), len(events))
+            entries = seen.get((slope, x))
+            if entries is None:
+                seen[slope, x] = [entry]
+                continue
+            offsets = [d - t for d in due[head:]]
+            same = [e for e in entries if [d - e[1] for d in due[e[0] : e[2]]] == offsets]
+            if same:
+                i, t_i, _, n_rows = same[0]
+                if detect_period:
                     return Periodic(
                         least_period=Fraction(t - t_i, q),
                         switchings_per_period=head - i,
                         start_switch=i,
                         trace=SimTrace(tau, tuple(events)),
                     )
-                entries.append(entry)
-            else:
-                s_slope, s_x, t_s, i, n_due, n_rows = saved
-                if (
-                    x == s_x
-                    and slope == s_slope
-                    and head < max_switches
-                    and t < t_cap  # else the loop stops at this instant
-                    and [d - t for d in due[head:]] == [d - t_s for d in due[i:n_due]]
-                ):
+                if head < max_switches and t < t_cap:  # else the loop stops at this instant
                     block = events[n_rows:]  # the rows after switch i up to this one
-                    m, period = head - i, t - t_s
-                    head = _repeat_cycle(events, block, head, m, t, period, max_switches, t_cap)
+                    head = _repeat_cycle(events, block, head, head - i, t, t - t_i, max_switches, t_cap)
                     stopped_by = "max_switches" if head >= max_switches else "max_time"
                     return Undetermined(head, SimTrace(tau, tuple(events)), stopped_by)
-                if not head & (head - 1):  # a power of two: save this state instead
-                    saved = (slope, x, t, head, len(due), len(events))
+            entries.append(entry)
 
 
 def _repeat_cycle(

@@ -173,14 +173,6 @@ def test_window_runs_up_to_k_64_keep_the_fixed_limits(tau):
     assert run(tau) == run(tau, 10_000, 10_000)
 
 
-def _first_recurrence_seen(outcome: Periodic) -> int:
-    """The switch at which a replay comparing each state with the one saved
-    at switch 1, 2, 4, 8, ... first meets a recurrence: the saved state at
-    the least power of two s >= max(i, m) comes back m switches later."""
-    i, m = outcome.start_switch, outcome.switchings_per_period
-    return (1 << (max(i, m) - 1).bit_length()) + m
-
-
 @st.composite
 def replay_cuts(draw) -> tuple[F, int, F]:
     """A delay below, inside or above the window, and a switch count and a
@@ -195,8 +187,8 @@ def replay_cuts(draw) -> tuple[F, int, F]:
         )
     )
     out = run(tau)
-    if isinstance(out, Periodic):
-        seen = _first_recurrence_seen(out)
+    if isinstance(out, Periodic):  # the replay meets the same earliest recurrence
+        seen = out.start_switch + out.switchings_per_period
         end = seen + 3 * out.switchings_per_period + 3
     else:
         seen = end = len(out.trace.switches) + 2
