@@ -98,18 +98,26 @@ def critical_neighbours(k: int) -> tuple[Rat, Rat, Rat, Rat]:
 
 
 def distance_to_critical(tau: Rat) -> Rat:
-    """Exact distance from tau to the set of critical delays.
+    """Exact distance from tau to the set of delays where behaviour changes.
 
-    The set accumulates at 3/2 from below, so for tau >= 3/2 the infimum
-    tau - 3/2 is returned (conservative for guard purposes).
+    Inside [4/3, 3/2) these are the paper's critical sequences, which
+    accumulate at 3/2.  The paper names none outside the window (it defers
+    (3/2, oo) to [ADM]); the others here were found by exact runs of this
+    program, not taken from the paper: at 1 the period goes from 2 to 4
+    switchings, and above 3/2, where delays diverge to +oo, the delays
+    sigma_m = 6*4^m / (4^(m+1) - 1) for m >= 0 (2, 8/5, 32/21, ... down
+    to 3/2) are periodic.  sigma_m <= a/b  <=>  4^m * (4a - 6b) >= a, so
+    the two sigma_m around tau are found in O(1), as window_k finds k.
     """
     tau = Fraction(tau)
-    if tau >= SUP:
-        return tau - SUP
-    k = window_k(tau)
-    if k is None:  # below the window
-        return TAU_LOW - tau
-    return min(abs(c - tau) for c in critical_neighbours(k))
+    a, b = tau.numerator, tau.denominator
+    if 2 * a > 3 * b:  # sigma_(m+1) < tau <= sigma_m, no m when tau > 2
+        m = ((a // (4 * a - 6 * b)).bit_length() - 1) // 2
+        near = [Fraction(6 * 4**n, 4 ** (n + 1) - 1) for n in (m, m + 1) if n >= 0]
+    else:
+        k = window_k(tau)
+        near = critical_neighbours(k) if k is not None else (Fraction(1), TAU_LOW, SUP)
+    return min(abs(c - tau) for c in near)
 
 
 def closed_points(tau: Rat, j: int = 1) -> Iterator[tuple[int, int]]:

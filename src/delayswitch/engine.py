@@ -19,12 +19,12 @@ periodicity, and an empty pending queue while the path moves away from both
 boundaries certifies divergence.  The loop keeps every scheduled switch
 time in one append-only list and indexes the states it has seen by (slope,
 position), comparing pending offsets only when such a pair repeats.  A
-fixed-length replay finds its recurrence the same way and then repeats that
-cycle's rows, shifted by its period, up to its limits.  Simulation starts on
-the rising branch from x(0) = 0.  As in the paper, the history on [-tau, 0]
-stays clear of {0, 1} before time zero; every such history then yields the
-same solution, because the only inherited event is the hit at t = 0, so the
-engine takes no history.
+fixed-length replay runs the same loop and, past a Periodic outcome, repeats
+that cycle's rows, shifted by whole periods, up to its limits.  Simulation
+starts on the rising branch from x(0) = 0.  As in the paper, the history on
+[-tau, 0] stays clear of {0, 1} before time zero; every such history then
+yields the same solution, because the only inherited event is the hit at
+t = 0, so the engine takes no history.
 """
 
 from __future__ import annotations
@@ -92,7 +92,7 @@ class Periodic(NamedTuple):
 
     @property
     def turning_points(self) -> tuple[TurningPoint, ...]:
-        """One full period: switches i..j-1."""
+        """One full period: switches i..i+m-1, m being switchings_per_period."""
         i = self.start_switch
         return self.trace.turning_points[i - 1 : i - 1 + self.switchings_per_period]
 
@@ -112,15 +112,28 @@ class Undetermined(NamedTuple):
 Outcome = Periodic | Divergent | Undetermined
 
 
-def _simulate(
-    tau: Rat,
-    max_switches: int | None,
-    max_time: Rat | None,
-    detect_period: bool,
-) -> Outcome:
+def _limits(tau: Fraction, max_switches: int | None, max_time: Rat | None) -> tuple[int, int]:
+    """The switch limit and the time cap in units of 1/q for tau = p/q, a
+    limit left None sized as :func:`run` describes.  A delay or a limit of
+    zero or less raises ValueError."""
+    if (max_switches is not None and max_switches <= 0) or (max_time is not None and max_time <= 0):
+        raise ValueError("limits must be positive")
+    if tau <= 0:
+        raise ValueError("tau must be positive")
+    k = analysis.window_k(tau) if max_switches is None or max_time is None else None
+    n = 0 if k is None else 4 * k + 6  # 4k + 6 for a window delay whose run sizes a limit
+    if max_switches is None:
+        max_switches = max(DEFAULT_MAX_SWITCHES, n)
+    if max_time is None:
+        return max_switches, max(DEFAULT_MAX_TIME, 2 * n) * tau.denominator
+    max_time = Fraction(max_time)
+    # T * den >= num * q  <=>  T >= ceil(num * q / den), T being an int
+    return max_switches, -(-max_time.numerator * tau.denominator // max_time.denominator)
+
+
+def _simulate(tau: Rat, max_switches: int | None, max_time: Rat | None) -> Outcome:
     """The event loop behind :func:`run` and :func:`simulate_switches`.
 
-    A limit left None is sized as :func:`run` describes, on the ints p and q.
     Works in units of 1/q for tau = p/q: the boundaries are 0 and q, the
     delay is p, and time T, position X and the pending switch times are
     ints.  ``due`` lists every switch time scheduled, the pending ones being
@@ -130,36 +143,21 @@ def _simulate(
     A hit and a switch at one instant are both processed there, the hit
     first, so the post-switch state already holds the freshly scheduled
     switch.  The post-switch state (slope, X, pending offsets) is the
-    complete Markov state; with ``detect_period`` its first exact recurrence
-    ends the run as Periodic, and without it :func:`_repeat_cycle` writes the
-    rest of the run from the rows of the cycle it closes.  ``head`` is also
-    the number of switches run, and ``seen`` maps (slope, X) to the entries
-    (head, T, len(due), len(events)) of the states seen there, whose offsets
-    are compared only when the pair repeats.  An empty queue with the ray
-    pointing away from both boundaries ends the run as Divergent; the limits
-    end it as Undetermined, and a limit of zero or less raises ValueError.
+    complete Markov state, and its first exact recurrence ends the run as
+    Periodic.  ``head`` is also the number of switches run, and ``seen``
+    maps (slope, X) to the entries (head, T, len(due)) of the states seen
+    there, whose offsets are compared only when the pair repeats.  An empty
+    queue with the ray pointing away from both boundaries ends the run as
+    Divergent; the limits of :func:`_limits` end it as Undetermined.
     """
-    if (max_switches is not None and max_switches <= 0) or (max_time is not None and max_time <= 0):
-        raise ValueError("limits must be positive")
-    if tau <= 0:
-        raise ValueError("tau must be positive")
     tau = Fraction(tau)
+    max_switches, t_cap = _limits(tau, max_switches, max_time)
     p, q = tau.numerator, tau.denominator
-    k = analysis.window_k(tau) if max_switches is None or max_time is None else None
-    n = 0 if k is None else 4 * k + 6  # 4k + 6 for a window delay whose run sizes a limit
-    if max_switches is None:
-        max_switches = max(DEFAULT_MAX_SWITCHES, n)
-    if max_time is None:
-        t_cap = max(DEFAULT_MAX_TIME, 2 * n) * q
-    else:
-        max_time = Fraction(max_time)
-        # T * den >= num * q  <=>  T >= ceil(num * q / den), T being an int
-        t_cap = -(-max_time.numerator * q // max_time.denominator)
     t = x = head = 0
     slope = 1  # +1 exactly while the number of executed switches is even
     due = [p]  # every switch time scheduled, increasing; pending: due[head:]
     events = [(0, 0, "hit")]
-    seen: dict[tuple[int, int], list[tuple[int, int, int, int]]] = {}
+    seen: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
     while True:
         if head == len(due) and (x < 0 if slope < 0 else x > q):
             return Divergent(slope, head, SimTrace(tau, tuple(events)))
@@ -191,7 +189,7 @@ def _simulate(
             head += 1
             slope = -slope
             events.append((t, x, "switch"))
-            entry = (head, t, len(due), len(events))
+            entry = (head, t, len(due))
             entries = seen.get((slope, x))
             if entries is None:
                 seen[slope, x] = [entry]
@@ -199,52 +197,9 @@ def _simulate(
             offsets = [d - t for d in due[head:]]
             same = [e for e in entries if [d - e[1] for d in due[e[0] : e[2]]] == offsets]
             if same:
-                i, t_i, _, n_rows = same[0]
-                if detect_period:
-                    return Periodic(
-                        least_period=Fraction(t - t_i, q),
-                        switchings_per_period=head - i,
-                        start_switch=i,
-                        trace=SimTrace(tau, tuple(events)),
-                    )
-                if head < max_switches and t < t_cap:  # else the loop stops at this instant
-                    block = events[n_rows:]  # the rows after switch i up to this one
-                    head = _repeat_cycle(events, block, head, head - i, t, t - t_i, max_switches, t_cap)
-                    stopped_by = "max_switches" if head >= max_switches else "max_time"
-                    return Undetermined(head, SimTrace(tau, tuple(events)), stopped_by)
+                i, t_i, _ = same[0]  # the earliest recurrence
+                return Periodic(Fraction(t - t_i, q), head - i, i, SimTrace(tau, tuple(events)))
             entries.append(entry)
-
-
-def _repeat_cycle(
-    events: list[tuple[int, int, str]],
-    block: list[tuple[int, int, str]],
-    head: int,
-    m: int,
-    t: int,
-    period: int,
-    max_switches: int,
-    t_cap: int,
-) -> int:
-    """Append ``block``, the rows of one cycle of m switches ending with
-    switch ``head`` at time t, shifted by r*period for r = 1, 2, ..., up to
-    where the event loop stops: after the first instant at which the switch
-    count reaches max_switches or the time reaches t_cap, a hit and a switch
-    at one instant staying together.  Returns the switch count there."""
-    # the r-th repetition is the first to end on a limit, so it holds the cut
-    r = min(-(-(max_switches - head) // m), -(-(t_cap - t) // period))
-    events += [(u + n * period, y, kind) for n in range(1, r) for u, y, kind in block]
-    head += (r - 1) * m
-    shift = r * period
-    for j, (u, _, kind) in enumerate(block):
-        if kind == "switch":
-            head += 1
-        if head >= max_switches or u + shift >= t_cap:
-            break
-    if kind == "hit" and block[j + 1][0] == u:  # the switch at the hit's instant
-        j += 1
-        head += 1
-    events += [(u + shift, y, kind) for u, y, kind in block[: j + 1]]
-    return head
 
 
 def run(
@@ -265,7 +220,7 @@ def run(
     predicted outcome, so a wrong bound can leave a run Undetermined but
     never decide it.
     """
-    return _simulate(tau, max_switches, max_time, detect_period=True)
+    return _simulate(tau, max_switches, max_time)
 
 
 def simulate_switches(
@@ -277,12 +232,38 @@ def simulate_switches(
 
     A fixed-length replay for long traces, such as many periods drawn or
     cross-checked at once (``perfbench``'s horizon workload); the package
-    itself never calls it.  Once the state recurs, the rest of the trace is
-    the cycle's rows shifted by whole periods, cut where stepping would stop.
-    Stops early only on divergence or the time cap; callers inspect the
-    trace length.
+    itself never calls it.  It runs the event loop once, a limit left None
+    sized as in :func:`run`.  Past a Periodic outcome every row repeats the
+    cycle's rows, those after switch i up to switch i + m, shifted by whole
+    periods, so these are appended up to where stepping would stop: after
+    the first instant at which the switch count reaches n_switches or the
+    time reaches max_time.  Stops early only on divergence or the time cap;
+    callers inspect the trace length.
     """
-    return _simulate(tau, n_switches, max_time, detect_period=False).trace
+    out = _simulate(tau, n_switches, max_time)
+    if not isinstance(out, Periodic):
+        return out.trace
+    n_switches, t_cap = _limits(out.trace.tau, n_switches, max_time)
+    rows, i, m = out.trace.rows, out.start_switch, out.switchings_per_period
+    at = [n for n, (_, _, kind) in enumerate(rows) if kind == "switch"][i - 1]  # switch i
+    block, head, t = rows[at + 1 :], i + m, rows[-1][0]  # the run ends on switch i + m
+    period = t - rows[at][0]
+    # the r-th repetition is the first to end on a limit, so it holds the cut;
+    # r <= 0 when stepping stops where the run did
+    r = min(-(-(n_switches - head) // m), -(-(t_cap - t) // period))
+    if r <= 0:
+        return out.trace
+    head, shift = head + (r - 1) * m, r * period
+    for j, (u, _, kind) in enumerate(block):
+        if kind == "switch":
+            head += 1
+        if head >= n_switches or u + shift >= t_cap:
+            break
+    if kind == "hit" and block[j + 1][0] == u:  # the switch at the hit's instant
+        j += 1
+    cycles = [(u + n * period, y, kind) for n in range(1, r) for u, y, kind in block]
+    cut = [(u + shift, y, kind) for u, y, kind in block[: j + 1]]
+    return SimTrace(out.trace.tau, (*rows, *cycles, *cut))
 
 
 def behavior_label(outcome: Outcome) -> str:

@@ -189,10 +189,11 @@ def float_oracle(tau: Rat, dt: float = 1e-6, t_end: float = 20.0) -> list[tuple[
     crossings, not the t_end/dt/2**15 blocks of steps, each of which costs
     only the one stored sum.
 
-    Refuses delays within 1000*dt of a critical value: floating point cannot
-    resolve behavior that changes on exact rational equality.  Also refuses
-    delays shorter than one step, and a ``t_end`` that is not finite and
-    positive.
+    Refuses delays within 1000*dt of a critical value, inside the window or
+    outside it (see :func:`analysis.distance_to_critical`): floating point
+    cannot resolve behavior that changes on exact rational equality.  Also
+    refuses delays shorter than one step, and a ``t_end`` that is not finite
+    and positive.
     """
     tau = Fraction(tau)
     if tau <= 0:

@@ -302,8 +302,8 @@ def test_distance_to_critical():
     assert distance_to_critical(F(63, 43)) == 0
     assert distance_to_critical(F(4, 3)) == 0
     assert distance_to_critical(F(147, 100)) == F(21, 4300)  # nearest is theta_2
-    assert distance_to_critical(F(1)) == F(1, 3)
-    assert distance_to_critical(F(2)) == F(1, 2)
+    assert distance_to_critical(F(1)) == 0
+    assert distance_to_critical(F(2)) == 0
     assert distance_to_critical(F(3, 2)) == 0
 
 

@@ -55,6 +55,10 @@ def test_engine_agrees_with_the_closed_forms(tau):
     if prediction.behavior is Behavior.PERIODIC:
         assert isinstance(out, Periodic)
         assert out.switchings_per_period == prediction.switch_count
+        # the rows end with switch i + m, the state that closes the cycle
+        end = out.start_switch + out.switchings_per_period
+        assert len(out.trace.switches) == end
+        assert out.trace.rows[-1] == (*out.trace.switches[-1], "switch")
     else:
         assert isinstance(out, Divergent) and out.direction == -1
         assert out.total_switchings == prediction.switch_count
@@ -174,10 +178,11 @@ def test_window_runs_up_to_k_64_keep_the_fixed_limits(tau):
 
 
 @st.composite
-def replay_cuts(draw) -> tuple[F, int, F]:
+def replay_cuts(draw) -> tuple[F, int, F | None]:
     """A delay below, inside or above the window, and a switch count and a
-    time limit that end its replay before the recurrence is seen, exactly
-    there or after it, some on an instant holding a hit and a switch."""
+    time limit (None: sized by the engine) that end its replay before the
+    recurrence is seen, exactly there or after it, some on an instant
+    holding a hit and a switch."""
     tau = draw(
         st.one_of(
             window_delays(),
@@ -199,8 +204,8 @@ def replay_cuts(draw) -> tuple[F, int, F]:
     n = draw(st.sampled_from([seen - 1, seen, seen + 1, end]) | st.integers(1, end))
     near = [t_seen - 1, t_seen, t_seen + 1, *instants]
     cut = draw(st.sampled_from(near) | st.integers(1, rows[-1][0] + 1))
-    limit = draw(st.sampled_from([F(cut, tau.denominator), F(10 * DEFAULT_MAX_TIME)]))
-    return tau, max(n, 1), max(limit, F(1, tau.denominator))
+    limit = draw(st.sampled_from([F(cut, tau.denominator), F(10 * DEFAULT_MAX_TIME), None]))
+    return tau, max(n, 1), None if limit is None else max(limit, F(1, tau.denominator))
 
 
 @settings(max_examples=200, deadline=None)
@@ -212,10 +217,12 @@ def replay_cuts(draw) -> tuple[F, int, F]:
 @example((F(63, 43), 50, F(10 * DEFAULT_MAX_TIME)))  # divergent: no recurrence
 @example((critical_value(CriticalKind.THETA, 1), 50, F(10 * DEFAULT_MAX_TIME)))
 @example((F(5, 2), 50, F(10 * DEFAULT_MAX_TIME)))
+@example((critical_value(CriticalKind.TAU, 1), 20_000, None))
 def test_replay_repeats_its_cycle_as_the_stepper_runs(cut):
     # past a recurrence the replay repeats the cycle's rows instead of
-    # stepping; it must stop on the very row where stepping would
+    # stepping; it must stop on the very row where stepping would.  A time
+    # limit left None is sized as run sizes it: 10,000 for every k drawn here
     tau, n, max_time = cut
     trace = simulate_switches(tau, n, max_time)
-    assert trace.rows == step_rows(tau, n, max_time)
+    assert trace.rows == step_rows(tau, n, 10_000 if max_time is None else max_time)
     assert check_rows(trace) is None

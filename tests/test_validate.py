@@ -242,12 +242,16 @@ def test_check_closed_form_agrees_at_k_3000(kind):
 
 
 def test_float_oracle_refuses_critical_values():
-    for tau in (F(63, 43), F(4, 3), F(7, 5)):
+    # the window's critical values, and outside it 1 and the periodic sigma_m
+    # = 6*4^m/(4^(m+1) - 1) above 3/2 (2, 8/5, 32/21, 128/85, ...)
+    for tau in (F(63, 43), F(4, 3), F(7, 5), F(1), F(2), F(8, 5), F(32, 21), F(128, 85)):
         with pytest.raises(OracleRefusal):
             float_oracle(tau)
     # within 1000*dt of theta_2 but not equal
     with pytest.raises(OracleRefusal):
         float_oracle(F(63, 43) + F(1, 10**7))
+    with pytest.raises(OracleRefusal):
+        float_oracle(1 + F(1, 10**8))
 
 
 def test_float_oracle_rejects_bad_dt():
