@@ -19,7 +19,7 @@ import sys
 from fractions import Fraction
 
 from . import analysis, engine, render, validate
-from .exact import rat_format, rat_parse, rat_to_decimal
+from .exact import _INT_RE, rat_format, rat_parse, rat_to_decimal
 
 DECIMAL_DIGITS = 12
 
@@ -38,6 +38,13 @@ def _exact_fields(name: str, value: Fraction) -> dict[str, str]:
 def _shown(value: Fraction) -> str:
     """The same pair as text: "p/q (decimal)"."""
     return f"{rat_format(value)} ({rat_to_decimal(value, DECIMAL_DIGITS)})"
+
+
+def _integer(text: str) -> int:
+    """An integer as ``rat_parse`` reads one: an optional sign, then ASCII digits."""
+    if not _INT_RE.match(text.strip()):
+        raise argparse.ArgumentTypeError(f"{text.strip()!r} is not an integer")
+    return int(text)
 
 
 def _fail(message: str, code: int) -> int:
@@ -216,14 +223,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    labels: list[int] = []
-    for piece in filter(str.strip, (args.labels or "").split(",")):
-        try:
-            labels.append(int(piece))
-        except ValueError:
-            raise ValueError(f"--labels: {piece.strip()!r} is not an integer") from None
     svg = render.render_trajectory(
-        _run(args), width=args.width, height=args.height, label_indices=labels, title=args.title
+        _run(args), args.width, args.height, label_indices=args.labels, title=args.title
     )
     if args.out:
         _atomic_write(args.out, svg)
@@ -244,7 +245,7 @@ def _build_parser() -> argparse.ArgumentParser:
     delay = argparse.ArgumentParser(add_help=False)
     delay.add_argument("tau", help='delay as "p/q" or a finite decimal')
     limits = argparse.ArgumentParser(add_help=False)
-    limits.add_argument("--max-switches", type=int, default=None)
+    limits.add_argument("--max-switches", type=_integer, default=None)
     limits.add_argument("--max-time", default=None, help='time limit, "p/q" or decimal')
 
     p = sub.add_parser("classify", parents=[delay], help="regime and prediction for a delay")
@@ -256,16 +257,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("critical", help="table of critical delays")
     p.add_argument("--kind", required=True, choices=["tau", "theta", "zeta"])
-    p.add_argument("--k-from", type=int, required=True)
-    p.add_argument("--k-to", type=int, required=True)
+    p.add_argument("--k-from", type=_integer, required=True)
+    p.add_argument("--k-to", type=_integer, required=True)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.set_defaults(func=_cmd_critical)
 
     p = sub.add_parser(
         "sweep", parents=[limits], help="classifier-vs-simulation sweep over regimes"
     )
-    p.add_argument("--k-max", type=int, default=6)
-    p.add_argument("--samples", type=int, default=3, help="samples per open interval")
+    p.add_argument("--k-max", type=_integer, default=6)
+    p.add_argument("--samples", type=_integer, default=3, help="samples per open interval")
     p.add_argument("--out", help="write the report to this file")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.set_defaults(func=_cmd_sweep)
@@ -277,28 +278,20 @@ def _build_parser() -> argparse.ArgumentParser:
         "render", parents=[delay, limits], help="render the simulated trajectory as SVG"
     )
     p.add_argument("--out", help="output SVG path (stdout when omitted)")
-    p.add_argument("--width", type=int, default=render.DEFAULT_WIDTH)
-    p.add_argument("--height", type=int, default=render.DEFAULT_HEIGHT)
-    p.add_argument("--labels", help="comma-separated 1-based turning points to label")
+    p.add_argument("--width", type=_integer, default=render.DEFAULT_WIDTH)
+    p.add_argument("--height", type=_integer, default=render.DEFAULT_HEIGHT)
+    p.add_argument(
+        "--labels",
+        type=lambda text: [_integer(piece) for piece in text.split(",") if piece.strip()],
+        default=(),
+        help="comma-separated 1-based turning points to label",
+    )
     p.add_argument("--title", default=None)
     p.set_defaults(func=_cmd_render)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    # Exact in-domain values can run past the cap Python (3.10.7 on) puts on
-    # int <-> str digits; lift it for this call only and restore the caller's.
-    if not hasattr(sys, "set_int_max_str_digits"):
-        return _main(argv)
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        return _main(argv)
-    finally:
-        sys.set_int_max_str_digits(limit)
-
-
-def _main(argv: list[str] | None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -10,12 +10,13 @@ denominator, numerator and denominator coprime, unbounded integers, exact
 total order.  This module adds the strict text round-trip used by the CLI
 and the file formats ("p/q" or a finite decimal in, "p/q" out) and
 correctly rounded decimal companions for human-readable output.  Core
-logic never consumes the decimal strings.
+logic never consumes the decimal strings.  The text has no digit limit.
 """
 
 from __future__ import annotations
 
 import re
+from decimal import Decimal
 from fractions import Fraction
 
 Rat = Fraction
@@ -29,6 +30,14 @@ class RatParseError(ValueError):
     """Raised when a rational literal cannot be parsed."""
 
 
+def _convert(to, value):
+    """``to(value)`` for ``to`` int (on digit text) or str (on an int), at any length."""
+    try:
+        return to(value)  # faster than Decimal below the cap
+    except ValueError:  # the cap (Python 3.10.7 on); Decimal converts exactly and has none
+        return to(Decimal(value))
+
+
 def rat_parse(text: str) -> Rat:
     """Parse "p/q", a plain integer "p", or a finite decimal into a Rat.
 
@@ -38,18 +47,18 @@ def rat_parse(text: str) -> Rat:
     """
     token = text.strip()
     if _INT_RE.match(token):
-        return Fraction(int(token))
+        return Fraction(_convert(int, token))
     m = _RATIO_RE.match(token)
     if m:
-        den = int(m.group("den"))
+        den = _convert(int, m.group("den"))
         if den == 0:
             raise RatParseError(f"zero denominator in {token!r}")
-        return Fraction(int(m.group("num")), den)
+        return Fraction(_convert(int, m.group("num")), den)
     m = _DECIMAL_RE.match(token)
     if m and (m.group("int") or m.group("frac")):
         frac_digits = m.group("frac") or ""
         digits = (m.group("int") or "0") + frac_digits
-        value = Fraction(int(digits), 10 ** len(frac_digits))
+        value = Fraction(_convert(int, digits), 10 ** len(frac_digits))
         return -value if m.group("sign") == "-" else value
     raise RatParseError(f"not a rational literal: {token!r}")
 
@@ -57,8 +66,8 @@ def rat_parse(text: str) -> Rat:
 def rat_format(a: Rat) -> str:
     """Canonical text form: "p/q", or plain "p" for integers."""
     if a.denominator == 1:
-        return str(a.numerator)
-    return f"{a.numerator}/{a.denominator}"
+        return _convert(str, a.numerator)
+    return f"{_convert(str, a.numerator)}/{_convert(str, a.denominator)}"
 
 
 def rat_to_decimal(a: Rat, digits: int) -> str:
@@ -74,4 +83,4 @@ def rat_to_decimal(a: Rat, digits: int) -> str:
         q += 1
     sign = "-" if a < 0 and q > 0 else ""
     whole, frac = divmod(q, scale)
-    return f"{sign}{whole}.{frac:0{digits}d}"
+    return f"{sign}{_convert(str, whole)}.{_convert(str, frac).zfill(digits)}"

@@ -25,6 +25,11 @@ def _escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
+def _text(x: float, y: float, body: str, size: int = 12) -> str:
+    """A monospace ``<text>`` element at pixel (x, y); ``body`` is markup."""
+    return f'<text x="{x:.2f}" y="{y:.2f}" font-family="monospace" font-size="{size}">{body}</text>'
+
+
 def _projection(ts: list[float], xs: list[float], width: int, height: int):
     """Affine map from data (t, x) to pixels, fitted to the vertex columns
     ``ts``, ``xs`` plus the guide levels 0 and 1.  Returns ``to_px`` and the
@@ -57,7 +62,10 @@ def _vertices(outcome: Outcome) -> tuple[list[float], list[float]]:
     xs: list[float] = []
     last = None
     for t, x, _ in sim.rows:
-        point = (t / q, x / q)
+        try:
+            point = (t / q, x / q)
+        except OverflowError:
+            raise ValueError("the trajectory runs past the float range") from None
         if point != last:  # hit+switch at one instant: one vertex
             ts.append(point[0])
             xs.append(point[1])
@@ -81,9 +89,10 @@ def render_trajectory(
     """Render an engine Outcome as deterministic SVG text.
 
     ``label_indices`` selects 1-based turning-point indices to annotate.
-    Raises ValueError on an empty trace, on a width or height of at most
-    twice the margin, on a label index outside the turning points, and on a
-    title holding a character XML 1.0 cannot carry, such as U+0001.
+    Raises ValueError on an empty trace, on a trajectory past the float
+    range, on a width or height of at most twice the margin, on a label
+    index outside the turning points, and on a title holding a character
+    XML 1.0 cannot carry, such as U+0001.
     """
     if min(width, height) <= 2 * _PAD:
         raise ValueError(f"width and height must exceed {2 * _PAD:.0f} px")
@@ -112,10 +121,7 @@ def render_trajectory(
         "</marker></defs>"
     )
     if title:
-        lines.append(
-            f'<text x="{_PAD:.2f}" y="20.00" font-family="monospace" '
-            f'font-size="14">{_escape(title)}</text>'
-        )
+        lines.append(_text(_PAD, 20.0, _escape(title), 14))
     for level, name in ((0.0, "0"), (1.0, "1")):
         px0, py = to_px(t0, level)
         px1, _ = to_px(t1, level)
@@ -123,20 +129,11 @@ def render_trajectory(
             f'<line x1="{px0:.2f}" y1="{py:.2f}" x2="{px1:.2f}" y2="{py:.2f}" '
             'stroke="#999999" stroke-width="1" stroke-dasharray="4 3"/>'
         )
-        lines.append(
-            f'<text x="{px0 - 16.0:.2f}" y="{py + 4.0:.2f}" '
-            f'font-family="monospace" font-size="12">{name}</text>'
-        )
+        lines.append(_text(px0 - 16.0, py + 4.0, name))
     axis_x, axis_y = to_px(t1, 0.0)
-    lines.append(
-        f'<text x="{axis_x + 4.0:.2f}" y="{axis_y + 4.0:.2f}" '
-        'font-family="monospace" font-size="12">t</text>'
-    )
+    lines.append(_text(axis_x + 4.0, axis_y + 4.0, "t"))
     top_x, top_y = to_px(t0, x1)
-    lines.append(
-        f'<text x="{top_x - 16.0:.2f}" y="{top_y - 6.0:.2f}" '
-        'font-family="monospace" font-size="12">x</text>'
-    )
+    lines.append(_text(top_x - 16.0, top_y - 6.0, "x"))
     marker = ' marker-end="url(#ray-arrow)"' if divergent else ""
     # to_px inlined over the columns, in its order of operations
     coords = [0.0] * (2 * len(ts))
@@ -152,9 +149,6 @@ def render_trajectory(
     for j in label_indices:
         t, x = turning[j - 1]
         px, py = to_px(t / q, x / q)
-        lines.append(
-            f'<text x="{px + 5.0:.2f}" y="{py - 6.0:.2f}" '
-            f'font-family="monospace" font-size="12">&#945;{j}</text>'
-        )
+        lines.append(_text(px + 5.0, py - 6.0, f"&#945;{j}"))
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

@@ -192,8 +192,8 @@ def float_oracle(tau: Rat, dt: float = 1e-6, t_end: float = 20.0) -> list[tuple[
     Refuses delays within 1000*dt of a critical value, inside the window or
     outside it (see :func:`analysis.distance_to_critical`): floating point
     cannot resolve behavior that changes on exact rational equality.  Also
-    refuses delays shorter than one step, and a ``t_end`` that is not finite
-    and positive.
+    refuses delays shorter than one step or of more steps than a float
+    holds, and a ``t_end`` that is not finite and positive.
     """
     tau = Fraction(tau)
     if tau <= 0:
@@ -209,10 +209,13 @@ def float_oracle(tau: Rat, dt: float = 1e-6, t_end: float = 20.0) -> list[tuple[
             "the float oracle cannot resolve criticality"
         )
 
-    tau_f = float(tau)
+    try:
+        tau_f = float(tau)
+        delay = tau_f / dt
+        d_int = int(delay)
+    except OverflowError:
+        raise OracleRefusal(f"tau/dt for tau = {rat_format(tau)} is past the float range") from None
     n_steps = int(round(t_end / dt))
-    delay = tau_f / dt
-    d_int = int(delay)
     d_frac = delay - d_int
     if d_int < 1:  # a chunk spans d_int steps, so the loop below would never advance
         raise OracleRefusal(f"tau = {rat_format(tau)} is shorter than one step of dt = {dt!r}")

@@ -11,10 +11,10 @@ from pathlib import Path
 
 import pytest
 
-from delayswitch import analysis, cli, engine
+from delayswitch import analysis, cli, engine, validate
 from delayswitch.analysis import CriticalKind, critical_value
 from delayswitch.cli import main
-from delayswitch.exact import rat_format
+from delayswitch.exact import rat_format, rat_parse, rat_to_decimal
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -140,6 +140,9 @@ def test_critical_table(capsys):
 
     code, out, _ = run_cli(capsys, "critical", "--kind", "zeta", "--k-from", "1", "--k-to", "1")
     assert "7/5" in out
+    # a sign and surrounding blanks, as rat_parse reads them
+    signed = run_cli(capsys, "critical", "--kind", "zeta", "--k-from", "+1", "--k-to", " 1 ")
+    assert signed == (0, out, "")
 
 
 def test_cli_answers_past_the_int_digit_limit_and_restores_it(capsys):
@@ -164,20 +167,33 @@ def test_cli_answers_past_the_int_digit_limit_and_restores_it(capsys):
 @pytest.mark.skipif(
     not hasattr(sys, "set_int_max_str_digits"), reason="no int <-> str digit limit"
 )
-def test_library_rat_format_stops_at_the_int_digit_limit_the_cli_lifts(capsys):
-    # tau_7200 has 4,336 digits a side: past the default limit of 4,300,
-    # which the library keeps and the CLI lifts for each call
-    value = critical_value(CriticalKind.TAU, 7200)
+def test_library_exact_text_has_no_digit_limit():
+    # tau_7200 and zeta_7200 have 4,336 digits and more a side: past the
+    # default limit of 4,300, which the library neither needs lifted nor moves
+    literal = "-0." + "1234567890" * 500  # 5,000 fractional digits
     limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(4300)
+    sys.set_int_max_str_digits(0)
     try:
-        with pytest.raises(ValueError):
-            rat_format(value)
-        argv = ("critical", "--kind", "tau", "--k-from", "7200", "--k-to", "7200")
-        code, out, _ = run_cli(capsys, *argv)
-        assert code == 0 and sys.get_int_max_str_digits() == 4300
-        sys.set_int_max_str_digits(0)
-        assert rat_format(value) == out.splitlines()[1].split(",")[2]
+        # the values and texts the built-in conversions give with no limit
+        values = [
+            critical_value(CriticalKind.TAU, 7200),
+            critical_value(CriticalKind.ZETA, 7200),
+            F(-(7 * 10**19999 + 3)),
+            -F(int(literal[3:]), 10**5000),
+        ]
+        texts = [str(v) for v in values]
+        decimals = ["1.500000000000", "1.500000000000", f"{texts[2]}.000000000000"]
+        decimals.append("-0.123456789012")
+        sys.set_int_max_str_digits(4300)
+        for value, text, decimal in zip(values, texts, decimals):
+            assert rat_format(value) == text and rat_parse(text) == value
+            assert rat_to_decimal(value, 12) == decimal
+        assert rat_parse(literal) == values[3] and rat_to_decimal(values[3], 5000) == literal
+        entry = validate.check_theorem(F(4, 3))._replace(tau=values[0])
+        report = validate.SweepReport(7200, 0, (entry,))
+        assert report.to_csv().splitlines()[1].startswith(f"{texts[0]},tau_k,periodic,")
+        assert json.loads(report.to_json())["entries"][0]["tau"] == texts[0]
+        assert sys.get_int_max_str_digits() == 4300
     finally:
         sys.set_int_max_str_digits(limit)
 
@@ -366,6 +382,29 @@ def test_render_refuses_label_indices_outside_the_turning_points(capsys):
     assert code == 2 and out == "" and "--labels: 'x' is not an integer" in err
     code, out, _ = run_cli(capsys, "render", "4/3", "--labels", "1,7")
     assert code == 0 and "&#945;7" in out
+
+
+def test_render_refuses_a_trajectory_past_the_float_range(capsys):
+    # times of 10^400 have no float, and render draws in floats
+    code, out, err = run_cli(capsys, "render", "1" + "0" * 400)
+    assert (code, out, err) == (2, "", "delayswitch: the trajectory runs past the float range\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("critical", "--kind", "tau", "--k-from", "\u0661", "--k-to", "\u0662"),
+        ("sweep", "--k-max", "\u0661", "--samples", "\u0660"),
+        ("render", "7/5", "--width", "\u0669\u0660\u0660"),
+        ("simulate", "7/5", "--max-switches", "1_0"),
+        ("render", "7/5", "--labels", "1_0"),
+    ],
+    ids=lambda argv: argv[-2].lstrip("-"),
+)
+def test_integer_flags_read_a_sign_and_ascii_digits_only(argv, capsys):
+    # int() would read Arabic-Indic digits and underscores, which rat_parse refuses
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "") and "is not an integer" in err
 
 
 def test_render_refuses_a_title_xml_cannot_carry(tmp_path, capsys):

@@ -29,6 +29,11 @@ def test_empty_trace_rejected():
         render_trajectory(engine.Undetermined(0, SimTrace(F(1), ())))
 
 
+def test_a_trajectory_past_the_float_range_is_refused():
+    with pytest.raises(ValueError, match="past the float range"):
+        render_trajectory(engine.run(F(10**400)))
+
+
 def test_byte_determinism():
     outcome = engine.run(F(64, 43))
     first = render_trajectory(outcome, label_indices=(5, 7), title="tau = 64/43")

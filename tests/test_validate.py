@@ -254,6 +254,13 @@ def test_float_oracle_refuses_critical_values():
         float_oracle(1 + F(1, 10**8))
 
 
+def test_float_oracle_refuses_delays_past_the_float_range():
+    # 10^400 has no float; 10^307 has one, but not its count of steps
+    for tau in (F(10**400), F(10**307)):
+        with pytest.raises(OracleRefusal, match="past the float range"):
+            float_oracle(tau)
+
+
 def test_float_oracle_rejects_bad_dt():
     with pytest.raises(ValueError):
         float_oracle(F(27, 20), dt=1e-3)
