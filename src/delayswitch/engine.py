@@ -189,17 +189,14 @@ def _simulate(tau: Rat, max_switches: int | None, max_time: Rat | None) -> Outco
             head += 1
             slope = -slope
             events.append((t, x, "switch"))
-            entry = (head, t, len(due))
-            entries = seen.get((slope, x))
-            if entries is None:
-                seen[slope, x] = [entry]
-                continue
-            offsets = [d - t for d in due[head:]]
-            same = [e for e in entries if [d - e[1] for d in due[e[0] : e[2]]] == offsets]
-            if same:
-                i, t_i, _ = same[0]  # the earliest recurrence
-                return Periodic(Fraction(t - t_i, q), head - i, i, SimTrace(tau, tuple(events)))
-            entries.append(entry)
+            entries = seen.setdefault((slope, x), [])
+            if entries:
+                offsets = [d - t for d in due[head:]]
+                for i, t_i, n in entries:  # in order, so the first match is the earliest
+                    if [d - t_i for d in due[i:n]] == offsets:
+                        trace = SimTrace(tau, tuple(events))
+                        return Periodic(Fraction(t - t_i, q), head - i, i, trace)
+            entries.append((head, t, len(due)))
 
 
 def run(
@@ -232,13 +229,14 @@ def simulate_switches(
 
     A fixed-length replay for long traces, such as many periods drawn or
     cross-checked at once (``perfbench``'s horizon workload); the package
-    itself never calls it.  It runs the event loop once, a limit left None
-    sized as in :func:`run`.  Past a Periodic outcome every row repeats the
-    cycle's rows, those after switch i up to switch i + m, shifted by whole
-    periods, so these are appended up to where stepping would stop: after
-    the first instant at which the switch count reaches n_switches or the
-    time reaches max_time.  Stops early only on divergence or the time cap;
-    callers inspect the trace length.
+    itself never calls it.  It runs the event loop once.  ``max_time``
+    defaults to 100,000 time units (ten times ``DEFAULT_MAX_TIME``); only an
+    explicit None is sized as in :func:`run`.  Past a Periodic outcome every
+    row repeats the cycle's rows, those after switch i up to switch i + m,
+    shifted by whole periods, so these are appended up to where stepping
+    would stop: after the first instant at which the switch count reaches
+    n_switches or the time reaches max_time.  Stops early only on divergence
+    or the time cap; callers inspect the trace length.
     """
     out = _simulate(tau, n_switches, max_time)
     if not isinstance(out, Periodic):

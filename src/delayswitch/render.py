@@ -12,6 +12,8 @@ byte-identical files.
 
 from __future__ import annotations
 
+import sys
+
 from .engine import Divergent, Outcome
 
 DEFAULT_WIDTH = 900
@@ -90,12 +92,14 @@ def render_trajectory(
 
     ``label_indices`` selects 1-based turning-point indices to annotate.
     Raises ValueError on an empty trace, on a trajectory past the float
-    range, on a width or height of at most twice the margin, on a label
-    index outside the turning points, and on a title holding a character
-    XML 1.0 cannot carry, such as U+0001.
+    range, on a width or height of at most twice the margin or past the
+    float range, on a label index outside the turning points, and on a
+    title holding a character XML 1.0 cannot carry, such as U+0001.
     """
     if min(width, height) <= 2 * _PAD:
         raise ValueError(f"width and height must exceed {2 * _PAD:.0f} px")
+    if max(width, height) > sys.float_info.max:
+        raise ValueError("width and height must lie in the float range")
     for char in title or "":
         # no escape carries these in XML 1.0: see its Char production
         control = char < " " and char not in "\t\n\r"

@@ -13,12 +13,13 @@ with ``analysis.closed_points``.  ``sweep`` runs the classifier-vs-simulator
 comparison over every regime up to a chosen k and serializes the result as
 CSV or JSON; disagreements are report rows, never aborts.
 
-The float oracle steps in plain floats, with no array library.  Between
-two crossings its positions are float sums of one constant increment, and
-float addition and rounding are monotone, so its delayed sample is monotone
-wherever both of its reads lie in one such run: bisection finds the single
-step at which such a stretch crosses 0 or 1, and the cost follows the
-chunks and crossings, not the t_end/dt/2**15 blocks of steps.
+The float oracle steps in plain floats, with no array library.  The
+solutions have slope +-1, so between two crossings its position at step n
+is x_first + (n - first)*inc.  Float multiplication and addition round
+monotonically, so its delayed sample is monotone wherever both of its reads
+lie in one such run: bisection finds the single step at which such a
+stretch crosses 0 or 1, and the cost follows the chunks and crossings, not
+the t_end/dt steps.
 """
 
 from __future__ import annotations
@@ -177,17 +178,16 @@ def float_oracle(tau: Rat, dt: float = 1e-6, t_end: float = 20.0) -> list[tuple[
     inside that step, which keeps discretization error far inside tolerance.
 
     Steps go in chunks of at most one delay, so a chunk's delayed samples
-    read earlier chunks only, and a chunk's positions are its origin plus the
-    running sum of its increments.  Between crossings the increment is
-    constant, so the positions of such a run are float sums of one constant,
-    monotone because float addition and rounding are; the delayed sample is
-    then monotone wherever both of its reads lie in one run.  Such a stretch
-    changes sign against 0 or 1 at most once, at a first step that bisection
-    finds; only the samples whose reads straddle a run start are compared
-    one by one.  A run keeps its running sum every 2**15 steps, from which
-    :func:`_advance` reads a position.  So the lookups follow the chunks and
-    crossings, not the t_end/dt/2**15 blocks of steps, each of which costs
-    only the one stored sum.
+    read earlier chunks only.  Between crossings the increment inc is
+    constant, so a run of steps is kept as its first step, the position
+    x_first there and inc, and its position at step n is x_first +
+    (n - first)*inc: one float product and one sum, monotone in n because
+    both round monotonically.  The delayed sample is then monotone wherever
+    both of its reads lie in one run.  Such a stretch changes sign against
+    0 or 1 at most once, at a first step that bisection finds; only the
+    samples whose reads straddle a run start are compared one by one.  So
+    the lookups follow the chunks and crossings, not the t_end/dt steps, and
+    the oracle keeps two floats per crossing.
 
     Refuses delays within 1000*dt of a critical value, inside the window or
     outside it (see :func:`analysis.distance_to_critical`): floating point
@@ -219,18 +219,15 @@ def float_oracle(tau: Rat, dt: float = 1e-6, t_end: float = 20.0) -> list[tuple[
     d_frac = delay - d_int
     if d_int < 1:  # a chunk spans d_int steps, so the loop below would never advance
         raise OracleRefusal(f"tau = {rat_format(tau)} is shorter than one step of dt = {dt!r}")
-    # Runs by first step: (origin, the running sum at the first step and every
-    # 2**15 steps on, increment).  The history, x = step*dt up to step 0, has
-    # no origin and is computed when read.
-    starts, runs = [-d_int - 1], [(None, [], dt)]
+    # Runs by first step: (position at the first step, increment).  A run
+    # starts at each crossing; the first is the history, x = t, which goes on
+    # past t = 0 up to the first crossing.
+    starts, runs = [-d_int - 1], [((-d_int - 1) * dt, dt)]
 
     def position(n: int) -> float:
         i = bisect.bisect_right(starts, n) - 1
-        origin, sums, inc = runs[i]
-        if origin is None:
-            return float(n) * inc
-        k, rest = divmod(n - starts[i], 1 << 15)
-        return origin + _advance(sums[k], inc, rest)
+        x_first, inc = runs[i]
+        return x_first + (n - starts[i]) * inc
 
     def sample(m: int) -> float:
         """The delayed position at step m."""
@@ -247,7 +244,7 @@ def float_oracle(tau: Rat, dt: float = 1e-6, t_end: float = 20.0) -> list[tuple[
             return 1.0 if right == 0.0 else left / (left - right)
         return None
 
-    slope, origin = 1.0, 0.0
+    slope = 1.0
     turning: list[tuple[float, float]] = []
     filled = 0
     while filled < n_steps:
@@ -274,62 +271,17 @@ def float_oracle(tau: Rat, dt: float = 1e-6, t_end: float = 20.0) -> list[tuple[
             frac = crossing(m, bound)
             if frac is not None:
                 crossings.append((m, frac))
-        # The chunk's runs: from lo, then from each crossing step, the
-        # increment flipping there; ``total`` is the running sum at step first
-        # (at n - 1 on closing a run before step n).
-        first, inc = lo, slope * dt
-        total = inc
-        for n, frac in sorted(crossings) + [(hi + 1, None)]:
-            if n > lo:
-                sums = [total]
-                for _ in range((n - 1 - first) >> 15):
-                    sums.append(_advance(sums[-1], inc, 1 << 15))
-                starts.append(first)
-                runs.append((origin, sums, inc))
-                total = _advance(sums[-1], inc, (n - 1 - first) % (1 << 15))
-            else:
-                total = 0.0
-            if frac is None:
-                break
+        for n, frac in sorted(crossings):
             # a delayed sample moves at most dt per step, so a step holds at
             # most one crossing: step n goes frac of a step one way, the rest back
-            turning.append(((n - 1 + frac) * dt, origin + total + slope * frac * dt))
-            total += (slope * frac - slope * (1.0 - frac)) * dt
+            x = position(n - 1)
+            turning.append(((n - 1 + frac) * dt, x + slope * frac * dt))
+            x += (slope * frac - slope * (1.0 - frac)) * dt
             slope = -slope
-            first, inc = n, slope * dt
-        origin += total
+            starts.append(n)
+            runs.append((x, slope * dt))
         filled = hi
     return turning
-
-
-def _advance(s: float, c: float, n: int) -> float:
-    """``s`` after ``n`` float additions of ``c``, exactly as ``s += c`` in a
-    loop leaves it.  Within a binade each addition adds c rounded to a
-    multiple of the ulp, the same every time unless c is an odd multiple of
-    half an ulp (a tie, decided by the parity of s); so the loop jumps a
-    binade at a time, and does ties, exits and |s| <= |c| one at a time.
-    """
-    while n > 0:
-        k = 0
-        if abs(s) > abs(c):
-            _, e = math.frexp(s)  # 2**(e-1) <= |s| < 2**e
-            u = math.ldexp(1.0, e - 53)
-            units, q = int(abs(s) / u), abs(c) / u
-            frac = q - math.floor(q)
-            r = math.floor(q) + (frac > 0.5)  # ulps added (or taken) per addition
-            # additions 1..k round as in the binade while k*r <= room; going
-            # up, a sum just past the top still rounds down to 2**e
-            up = (c > 0) == (s > 0)
-            room = (1 << 53) - units if up else units - (1 << 52) - (0.0 < frac < 0.5)
-            if frac != 0.5 and room >= 0:
-                if r == 0:
-                    return s  # c is below half an ulp: no addition changes s
-                k = min(room // r, n)
-                s = math.copysign((units + (k * r if up else -k * r)) * u, s)
-        if k == 0:
-            s, k = s + c, 1
-        n -= k
-    return s
 
 
 class SweepReport(NamedTuple):

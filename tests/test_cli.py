@@ -118,7 +118,7 @@ def test_simulate_trace_file(tmp_path, capsys):
     ]
 
 
-def test_simulate_custom_ic(capsys):
+def test_simulate_has_no_ic_flag(capsys):
     # every admissible history gives the same solution, so there is no --ic
     code, _, err = run_cli(capsys, "simulate", "89/66", "--ic", "ic.json")
     assert code == 2 and "--ic" in err
@@ -233,7 +233,7 @@ def test_sweep_stdout_and_file(tmp_path, capsys):
     assert json.loads(out)["all_agree"] is True
 
 
-def test_sweep_limits_from_a_flag_or_the_config_reach_every_run(capsys):
+def test_sweep_limit_flags_reach_every_run(capsys):
     argv = ("sweep", "--k-max", "1", "--samples", "0")
     for limit in (("--max-switches", "3"), ("--max-time", "1")):
         code, out, err = run_cli(capsys, *argv, *limit)
@@ -334,7 +334,7 @@ def test_verify_names_the_limit_that_stopped_an_undetermined_run(capsys):
     assert code == 1 and "stopped by max_time" in out
 
 
-def test_max_time_flag_and_config_parse_alike(capsys):
+def test_max_time_flag_takes_rational_literals(capsys):
     assert run_cli(capsys, "simulate", "89/66", "--max-time", "7/2")[0] == 3
 
     for argv in (
@@ -372,6 +372,14 @@ def test_render_refuses_sizes_without_a_plot_area(capsys):
         assert code == 2 and out == "" and "width and height" in err
     code, out, _ = run_cli(capsys, "render", "4/3", "--width", "97")
     assert code == 0 and 'width="97"' in out
+
+
+def test_render_refuses_sizes_past_the_float_range(capsys):
+    # a usage error, not a disagreement: exit 2 with a message, no traceback
+    for flag in ("--width", "--height"):
+        code, out, err = run_cli(capsys, "render", "4/3", flag, "1" + "0" * 400)
+        assert (code, out) == (2, "")
+        assert err == "delayswitch: width and height must lie in the float range\n"
 
 
 def test_render_refuses_label_indices_outside_the_turning_points(capsys):

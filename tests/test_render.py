@@ -34,6 +34,14 @@ def test_a_trajectory_past_the_float_range_is_refused():
         render_trajectory(engine.run(F(10**400)))
 
 
+def test_a_size_past_the_float_range_is_refused():
+    # the scales divide the size by the data's span: 10**400 has no float
+    outcome = engine.run(F(4, 3))
+    for size in ({"width": 10**400}, {"height": 10**400}, {"width": float("inf")}):
+        with pytest.raises(ValueError, match="width and height must lie in the float range"):
+            render_trajectory(outcome, **size)
+
+
 def test_byte_determinism():
     outcome = engine.run(F(64, 43))
     first = render_trajectory(outcome, label_indices=(5, 7), title="tau = 64/43")
