@@ -90,6 +90,20 @@ def window_k(tau: Rat) -> int | None:
     return None
 
 
+def sigma_m(tau: Rat) -> int | None:
+    """The m with sigma_(m+1) < tau <= sigma_m, where sigma_m = 6*4^m /
+    (4^(m+1) - 1) (2, 8/5, 32/21, ... down to 3/2), or None unless tau = a/b
+    lies in (3/2, 2].
+
+    a/b <= sigma_m  <=>  4^m * (4a - 6b) <= a  <=>  4^m <= a // (4a - 6b),
+    so m is the floor of log4 of that quotient, read off its bit length.
+    """
+    a, b = tau.numerator, tau.denominator
+    if 3 * b < 2 * a <= 4 * b:
+        return ((a // (4 * a - 6 * b)).bit_length() - 1) // 2
+    return None
+
+
 def critical_neighbours(k: int) -> tuple[Rat, Rat, Rat, Rat]:
     """(tau_k, theta_k, zeta_k, tau_{k+1}), in increasing order: the critical
     delays that split window k into its six regimes."""
@@ -106,14 +120,12 @@ def distance_to_critical(tau: Rat) -> Rat:
     program, not taken from the paper: at 1 the period goes from 2 to 4
     switchings, and above 3/2, where delays diverge to +oo, the delays
     sigma_m = 6*4^m / (4^(m+1) - 1) for m >= 0 (2, 8/5, 32/21, ... down
-    to 3/2) are periodic.  sigma_m <= a/b  <=>  4^m * (4a - 6b) >= a, so
-    the two sigma_m around tau are found in O(1), as window_k finds k.
+    to 3/2) are periodic; :func:`sigma_m` finds the two around tau in O(1).
     """
     tau = Fraction(tau)
-    a, b = tau.numerator, tau.denominator
-    if 2 * a > 3 * b:  # sigma_(m+1) < tau <= sigma_m, no m when tau > 2
-        m = ((a // (4 * a - 6 * b)).bit_length() - 1) // 2
-        near = [Fraction(6 * 4**n, 4 ** (n + 1) - 1) for n in (m, m + 1) if n >= 0]
+    if 2 * tau > 3:  # sigma_(m+1) < tau <= sigma_m, or above sigma_0 = 2
+        m = sigma_m(tau)
+        near = [Fraction(6 * 4**n, 4 ** (n + 1) - 1) for n in ((0,) if m is None else (m, m + 1))]
     else:
         k = window_k(tau)
         near = critical_neighbours(k) if k is not None else (Fraction(1), TAU_LOW, SUP)

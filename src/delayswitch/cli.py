@@ -69,16 +69,10 @@ def _atomic_write(path: str, data: str) -> None:
         raise
 
 
-def _limits(args) -> tuple[int | None, Fraction | None]:
-    """The limits the flags set; None leaves one to ``engine.run``."""
-    max_time = None if args.max_time is None else rat_parse(args.max_time)
-    return args.max_switches, max_time
-
-
 def _run(args) -> engine.Outcome:
-    """The engine's run of the command's tau under :func:`_limits`."""
-    tau = rat_parse(args.tau)
-    return engine.run(tau, *_limits(args))
+    """The engine's run of the command's tau; a switch limit no flag sets is
+    left to ``engine.run``."""
+    return engine.run(rat_parse(args.tau), args.max_switches)
 
 
 def _turning_doc(point: engine.TurningPoint) -> dict:
@@ -170,7 +164,7 @@ def _cmd_critical(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    report = validate.sweep(args.k_max, args.samples, *_limits(args))
+    report = validate.sweep(args.k_max, args.samples, args.max_switches)
     text = report.to_json() if args.format == "json" else report.to_csv()
     if args.out:
         _atomic_write(args.out, text)
@@ -246,7 +240,6 @@ def _build_parser() -> argparse.ArgumentParser:
     delay.add_argument("tau", help='delay as "p/q" or a finite decimal')
     limits = argparse.ArgumentParser(add_help=False)
     limits.add_argument("--max-switches", type=_integer, default=None)
-    limits.add_argument("--max-time", default=None, help='time limit, "p/q" or decimal')
 
     p = sub.add_parser("classify", parents=[delay], help="regime and prediction for a delay")
     p.set_defaults(func=_cmd_classify)

@@ -9,8 +9,9 @@ The event loop therefore runs on plain integers scaled by q (boundaries 0
 and q, delay p), which is exact without any gcd work.  A trace keeps those
 scaled rows; its ``Fraction`` events and turning points are each built from
 them on first access, so checks that read the rows never pay for them.
-``run`` sizes its own limits: in the paper's window it raises the defaults to
-cover the longest run the window can need, so every window delay ends
+One limit bounds a run, its number of switches; ``run`` sizes it when the
+caller leaves it unset, raising the default to cover the longest run the
+paper's window or the sigma_m above it can need, so every delay ends
 Periodic or Divergent unless the caller sets a tighter limit.
 
 The complete Markov state is (slope, position, pending switch offsets):
@@ -20,11 +21,11 @@ boundaries certifies divergence.  The loop keeps every scheduled switch
 time in one append-only list and indexes the states it has seen by (slope,
 position), comparing pending offsets only when such a pair repeats.  A
 fixed-length replay runs the same loop and, past a Periodic outcome, repeats
-that cycle's rows, shifted by whole periods, up to its limits.  Simulation
-starts on the rising branch from x(0) = 0.  As in the paper, the history on
-[-tau, 0] stays clear of {0, 1} before time zero; every such history then
-yields the same solution, because the only inherited event is the hit at
-t = 0, so the engine takes no history.
+that cycle's rows, shifted by whole periods, up to its switch count.
+Simulation starts on the rising branch from x(0) = 0.  As in the paper, the
+history on [-tau, 0] stays clear of {0, 1} before time zero; every such
+history then yields the same solution, because the only inherited event is
+the hit at t = 0, so the engine takes no history.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from . import analysis
 from .exact import Rat
 
 DEFAULT_MAX_SWITCHES = 10_000
-DEFAULT_MAX_TIME = 10_000
 
 
 class TurningPoint(NamedTuple):
@@ -106,32 +106,27 @@ class Divergent(NamedTuple):
 class Undetermined(NamedTuple):
     switchings_executed: int
     trace: SimTrace
-    stopped_by: str = "max_switches"  # the limit that ended the run, or "max_time"
+    stopped_by: str = "max_switches"  # the limit that ended the run
 
 
 Outcome = Periodic | Divergent | Undetermined
 
 
-def _limits(tau: Fraction, max_switches: int | None, max_time: Rat | None) -> tuple[int, int]:
-    """The switch limit and the time cap in units of 1/q for tau = p/q, a
-    limit left None sized as :func:`run` describes.  A delay or a limit of
-    zero or less raises ValueError."""
-    if (max_switches is not None and max_switches <= 0) or (max_time is not None and max_time <= 0):
+def _switch_limit(tau: Fraction, max_switches: int | None) -> int:
+    """The switch limit for tau, sized as :func:`run` describes when left
+    None.  A delay or a limit of zero or less raises ValueError."""
+    if max_switches is not None and max_switches <= 0:
         raise ValueError("limits must be positive")
     if tau <= 0:
         raise ValueError("tau must be positive")
-    k = analysis.window_k(tau) if max_switches is None or max_time is None else None
-    n = 0 if k is None else 4 * k + 6  # 4k + 6 for a window delay whose run sizes a limit
-    if max_switches is None:
-        max_switches = max(DEFAULT_MAX_SWITCHES, n)
-    if max_time is None:
-        return max_switches, max(DEFAULT_MAX_TIME, 2 * n) * tau.denominator
-    max_time = Fraction(max_time)
-    # T * den >= num * q  <=>  T >= ceil(num * q / den), T being an int
-    return max_switches, -(-max_time.numerator * tau.denominator // max_time.denominator)
+    if max_switches is not None:
+        return max_switches
+    k, m = analysis.window_k(tau), analysis.sigma_m(tau)
+    n = 4 * k + 6 if k is not None else (4 * m + 8 if m is not None else 0)
+    return max(DEFAULT_MAX_SWITCHES, n)
 
 
-def _simulate(tau: Rat, max_switches: int | None, max_time: Rat | None) -> Outcome:
+def _simulate(tau: Rat, max_switches: int | None) -> Outcome:
     """The event loop behind :func:`run` and :func:`simulate_switches`.
 
     Works in units of 1/q for tau = p/q: the boundaries are 0 and q, the
@@ -148,10 +143,13 @@ def _simulate(tau: Rat, max_switches: int | None, max_time: Rat | None) -> Outco
     maps (slope, X) to the entries (head, T, len(due)) of the states seen
     there, whose offsets are compared only when the pair repeats.  An empty
     queue with the ray pointing away from both boundaries ends the run as
-    Divergent; the limits of :func:`_limits` end it as Undetermined.
+    Divergent; the limit of :func:`_switch_limit` ends it as Undetermined.
+    Every step is a hit or a switch, and between two switches the path is
+    monotone and meets each boundary at most once, so that limit bounds the
+    steps and the rows too.
     """
     tau = Fraction(tau)
-    max_switches, t_cap = _limits(tau, max_switches, max_time)
+    max_switches = _switch_limit(tau, max_switches)
     p, q = tau.numerator, tau.denominator
     t = x = head = 0
     slope = 1  # +1 exactly while the number of executed switches is even
@@ -161,9 +159,8 @@ def _simulate(tau: Rat, max_switches: int | None, max_time: Rat | None) -> Outco
     while True:
         if head == len(due) and (x < 0 if slope < 0 else x > q):
             return Divergent(slope, head, SimTrace(tau, tuple(events)))
-        if head >= max_switches or t >= t_cap:
-            stopped_by = "max_switches" if head >= max_switches else "max_time"
-            return Undetermined(head, SimTrace(tau, tuple(events)), stopped_by)
+        if head >= max_switches:
+            return Undetermined(head, SimTrace(tau, tuple(events)))
         if slope > 0:
             hit = t - x if x < 0 else (t + q - x if x < q else None)
         else:
@@ -199,69 +196,48 @@ def _simulate(tau: Rat, max_switches: int | None, max_time: Rat | None) -> Outco
             entries.append((head, t, len(due)))
 
 
-def run(
-    tau: Rat,
-    max_switches: int | None = None,
-    max_time: Rat | None = None,
-) -> Outcome:
-    """Simulate until the outcome is certain or the limits are reached.
+def run(tau: Rat, max_switches: int | None = None) -> Outcome:
+    """Simulate until the outcome is certain or the switch limit is reached.
 
     After every switch the state is checked for exact recurrence (Periodic)
-    and for divergence; hitting max_switches or max_time first yields
-    Undetermined.  All arithmetic is exact.  A limit left None is 10,000
-    (switchings or time units), raised for tau_k <= tau < tau_{k+1} in
-    [4/3, 3/2) to 4k + 6 switchings and twice that in time: the paper's
-    counts (at most 4k + 2 per period, 4k + 5 before divergence) leave room
-    for the switchings before the cycle, and these runs take under two time
-    units per switching.  The bound reads only where tau lies, not the
-    predicted outcome, so a wrong bound can leave a run Undetermined but
-    never decide it.
+    and for divergence; reaching max_switches first yields Undetermined.
+    All arithmetic is exact.  A limit left None is 10,000 switchings, raised
+    to 4k + 6 for tau_k <= tau < tau_{k+1} in [4/3, 3/2) and to 4m + 8 for
+    sigma_(m+1) < tau <= sigma_m above 3/2 (see ``analysis.sigma_m``).  The
+    paper's counts (at most 4k + 2 per period, 4k + 5 before divergence)
+    leave room for the switchings before the cycle; above 3/2, exact runs
+    show sigma_m closing its cycle at switch 4m + 7 and the delays between
+    sigma_(m+1) and sigma_m diverging after 2m + 4.  The bound reads only
+    where tau lies, not the predicted outcome, so a wrong bound can leave a
+    run Undetermined but never decide it.
     """
-    return _simulate(tau, max_switches, max_time)
+    return _simulate(tau, max_switches)
 
 
-def simulate_switches(
-    tau: Rat,
-    n_switches: int,
-    max_time: Rat = 10 * DEFAULT_MAX_TIME,
-) -> SimTrace:
+def simulate_switches(tau: Rat, n_switches: int) -> SimTrace:
     """Advance through n_switches switchings, past any recurrence.
 
     A fixed-length replay for long traces, such as many periods drawn or
     cross-checked at once (``perfbench``'s horizon workload); the package
-    itself never calls it.  It runs the event loop once.  ``max_time``
-    defaults to 100,000 time units (ten times ``DEFAULT_MAX_TIME``); only an
-    explicit None is sized as in :func:`run`.  Past a Periodic outcome every
-    row repeats the cycle's rows, those after switch i up to switch i + m,
-    shifted by whole periods, so these are appended up to where stepping
-    would stop: after the first instant at which the switch count reaches
-    n_switches or the time reaches max_time.  Stops early only on divergence
-    or the time cap; callers inspect the trace length.
+    itself never calls it.  It runs the event loop once.  Past a Periodic
+    outcome every row repeats the cycle's rows, those after switch i up to
+    switch i + m, shifted by whole periods, so whole periods are appended
+    and then the next period's rows up to the n_switches-th switch, where
+    stepping would stop.  Stops early only on divergence; callers inspect
+    the trace length.
     """
-    out = _simulate(tau, n_switches, max_time)
+    out = _simulate(tau, n_switches)
     if not isinstance(out, Periodic):
         return out.trace
-    n_switches, t_cap = _limits(out.trace.tau, n_switches, max_time)
     rows, i, m = out.trace.rows, out.start_switch, out.switchings_per_period
-    at = [n for n, (_, _, kind) in enumerate(rows) if kind == "switch"][i - 1]  # switch i
-    block, head, t = rows[at + 1 :], i + m, rows[-1][0]  # the run ends on switch i + m
-    period = t - rows[at][0]
-    # the r-th repetition is the first to end on a limit, so it holds the cut;
-    # r <= 0 when stepping stops where the run did
-    r = min(-(-(n_switches - head) // m), -(-(t_cap - t) // period))
-    if r <= 0:
-        return out.trace
-    head, shift = head + (r - 1) * m, r * period
-    for j, (u, _, kind) in enumerate(block):
-        if kind == "switch":
-            head += 1
-        if head >= n_switches or u + shift >= t_cap:
-            break
-    if kind == "hit" and block[j + 1][0] == u:  # the switch at the hit's instant
-        j += 1
-    cycles = [(u + n * period, y, kind) for n in range(1, r) for u, y, kind in block]
-    cut = [(u + shift, y, kind) for u, y, kind in block[: j + 1]]
-    return SimTrace(out.trace.tau, (*rows, *cycles, *cut))
+    switch_rows = [n for n, (_, _, kind) in enumerate(rows) if kind == "switch"]
+    at = switch_rows[i - 1]  # switch i; the run ends on switch i + m
+    block, period = rows[at + 1 :], rows[-1][0] - rows[at][0]
+    r, extra = divmod(n_switches - i - m, m)
+    cut = switch_rows[i - 1 + extra] - at  # the block's rows up to its extra-th switch
+    cycles = [(u + n * period, y, kind) for n in range(1, r + 1) for u, y, kind in block]
+    last = [(u + (r + 1) * period, y, kind) for u, y, kind in block[:cut]]
+    return SimTrace(out.trace.tau, (*rows, *cycles, *last))
 
 
 def behavior_label(outcome: Outcome) -> str:

@@ -12,6 +12,7 @@ byte-identical files.
 
 from __future__ import annotations
 
+import math
 import sys
 
 from .engine import Divergent, Outcome
@@ -36,13 +37,17 @@ def _projection(ts: list[float], xs: list[float], width: int, height: int):
     """Affine map from data (t, x) to pixels, fitted to the vertex columns
     ``ts``, ``xs`` plus the guide levels 0 and 1.  Returns ``to_px`` and the
     ranges and scales it applies, ``(t0, t1, x0, x1, sx, sy)``: a point maps
-    to ``_PAD + (t - t0) * sx, height - _PAD - (x - x0) * sy``."""
+    to ``_PAD + (t - t0) * sx, height - _PAD - (x - x0) * sy``.  A scale
+    past the float range, as from a huge size over a short span, raises
+    ValueError."""
     t0, t1 = min(ts), max(ts)
     x0, x1 = min(min(xs), 0.0), max(max(xs), 1.0)
     if t0 == t1:
         t1 = t0 + 1.0
     sx = (width - 2 * _PAD) / (t1 - t0)
     sy = (height - 2 * _PAD) / (x1 - x0)
+    if not (math.isfinite(sx) and math.isfinite(sy)):
+        raise ValueError("the plot's scale runs past the float range")
 
     def to_px(t: float, x: float) -> tuple[float, float]:
         return _PAD + (t - t0) * sx, height - _PAD - (x - x0) * sy
@@ -92,8 +97,8 @@ def render_trajectory(
 
     ``label_indices`` selects 1-based turning-point indices to annotate.
     Raises ValueError on an empty trace, on a trajectory past the float
-    range, on a width or height of at most twice the margin or past the
-    float range, on a label index outside the turning points, and on a
+    range, on a width or height of at most twice the margin, past the float
+    range or scaling the trajectory past it, on a label index outside the turning points, and on a
     title holding a character XML 1.0 cannot carry, such as U+0001.
     """
     if min(width, height) <= 2 * _PAD:

@@ -3,9 +3,9 @@
 Three independent routes to the same answers are compared here: the exact
 event simulation (engine), the closed-form predictions (analysis), and a
 deliberately low-tech fixed-step floating-point simulation.  The exact
-checks read one engine outcome: the caller that owns the limits runs
+checks read one engine outcome: the caller that owns the limit runs
 ``engine.run`` once and hands the outcome to every check.  Given a bare tau,
-``check_theorem`` runs ``engine.run(tau)``, whose limits cover the window,
+``check_theorem`` runs ``engine.run(tau)``, whose limit covers the window,
 and ``check_closed_form`` runs only the J = ``horizon_J(tau)`` switchings it
 reads.  The period certificate reads that outcome's rows, so no check
 simulates a second time; ``check_closed_form`` compares its scaled switches
@@ -72,7 +72,7 @@ def _simulated_behavior(outcome: engine.Outcome) -> tuple[str, int | None]:
 
 def _outcome_of(tau: Rat, outcome: engine.Outcome | None) -> engine.Outcome:
     """The outcome a check reads: the given one, else ``engine.run(tau)``,
-    whose limits cover every delay of the window."""
+    whose limit covers every delay of the window."""
     if outcome is None:
         return engine.run(tau)
     if outcome.trace.tau != tau:
@@ -108,7 +108,7 @@ def check_theorem(tau: Rat, outcome: engine.Outcome | None = None) -> TheoremChe
     runs long enough for any delay of the window).  Behavior kind and switch
     count must match exactly; for periodic outcomes the period certificate is
     confirmed as well.  An Undetermined simulation, which only a caller's
-    tighter limits leave, is a disagreement with reason "horizon".
+    tighter limit leaves, is a disagreement with reason "horizon".
     """
     prediction = analysis.classify(tau)
     if prediction.regime.kind is RegimeKind.OUT_OF_RANGE:
@@ -360,18 +360,17 @@ def sweep(
     k_max: int,
     samples_per_interval: int = 3,
     max_switches: int | None = None,
-    max_time: Rat | None = None,
 ) -> SweepReport:
     """Classifier-vs-simulation agreement across all six regimes up to k_max.
 
-    Each delay runs once under the given limits, a limit left None being
-    sized by ``engine.run``.  Agreement requires behavior kind and switch
+    Each delay runs once under the given switch limit, which ``engine.run``
+    sizes when left None.  Agreement requires behavior kind and switch
     count to match exactly, and a periodic run's certificate to hold.
     Entries are reported in increasing tau order; disagreements are rows,
     not errors, so a sweep always completes.
     """
     entries = tuple(
-        check_theorem(tau, engine.run(tau, max_switches, max_time))
+        check_theorem(tau, engine.run(tau, max_switches))
         for tau in sweep_taus(k_max, samples_per_interval)
     )
     return SweepReport(k_max, samples_per_interval, entries)

@@ -10,19 +10,18 @@ Neither imports the engine, so the tests can hold the engine to them.
 from fractions import Fraction
 
 
-def step_rows(tau, max_switches: int, max_time=100_000) -> tuple[tuple[int, int, str], ...]:
+def step_rows(tau, max_switches: int) -> tuple[tuple[int, int, str], ...]:
     """The rows of the run from x(0) = 0, one event per step, on ints scaled by q.
 
     Each step takes the earliest of the next due switch and the next
     boundary strictly ahead of the ray, the hit first when they coincide.
     The run stops on divergence (nothing due, no boundary ahead) and after
-    the first instant at which max_switches switches have run or the time
-    has reached max_time; an instant ends only once its due switch has run.
+    the instant at which max_switches switches have run; an instant ends
+    only once its due switch has run.
     Nothing here looks for a recurrence: a periodic run is stepped to the end.
     """
-    tau, max_time = Fraction(tau), Fraction(max_time)
+    tau = Fraction(tau)
     p, q = tau.numerator, tau.denominator
-    t_cap = -(-max_time.numerator * q // max_time.denominator)  # ceil(max_time * q)
     t, x, slope, switches = 0, 0, 1, 0
     pending = [p]  # switch times due, in order
     rows = [(0, 0, "hit")]
@@ -44,7 +43,7 @@ def step_rows(tau, max_switches: int, max_time=100_000) -> tuple[tuple[int, int,
             continue  # the switch at this hit's instant is still to run
         if not pending and not any((b - x) * slope > 0 for b in (0, q)):
             return tuple(rows)
-        if switches >= max_switches or t >= t_cap:
+        if switches >= max_switches:
             return tuple(rows)
 
 

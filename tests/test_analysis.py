@@ -19,6 +19,7 @@ from delayswitch.analysis import (
     critical_value,
     distance_to_critical,
     horizon_J,
+    sigma_m,
     window_k,
 )
 from delayswitch.exact import rat_parse
@@ -210,7 +211,7 @@ def test_horizon_J_matches_the_alpha_scan():
     assert horizon_J(rat_parse("1.4" + "9" * 70)) == 237  # k = 117, past the old j <= 200 scan
 
 
-def test_horizon_domain_and_cap():
+def test_horizon_domain():
     assert horizon_J(F(4, 3)) == 3  # alpha_3 = 1 exactly at tau_1
     with pytest.raises(ValueError):
         horizon_J(F(3, 2))
@@ -332,6 +333,32 @@ def test_window_k_fixed_cases():
     assert window_k(F(4, 3)) == 1
     assert window_k(critical_value(ZETA, 40)) == 40
     assert window_k(critical_value(TAU, 41) - F(1, 10**60)) == 40
+
+
+def sigma(m: int) -> F:
+    return F(6 * 4**m, 4 ** (m + 1) - 1)
+
+
+@given(delays_between_1_and_2())
+@example(F(2))
+@example(F(3, 2))
+@example(F(3, 2) + F(1, 10**60))
+@example(F(2) + F(1, 10**60))
+@example(F(8, 5))
+@example(F(0))
+def test_sigma_m_is_none_exactly_outside_its_range(tau):
+    m = sigma_m(tau)
+    if not F(3, 2) < tau <= 2:
+        assert m is None
+    else:
+        assert sigma(m + 1) < tau <= sigma(m)
+
+
+def test_sigma_m_fixed_cases():
+    assert [sigma_m(sigma(m)) for m in (0, 1, 2, 300)] == [0, 1, 2, 300]
+    assert sigma_m(sigma(300) - F(1, 10**400)) == 300
+    assert sigma_m(sigma(301) + F(1, 10**400)) == 300
+    assert sigma_m(F(5, 2)) is None
 
 
 def test_critical_neighbours_are_the_four_critical_values():

@@ -96,8 +96,6 @@ def test_simulate_undetermined_exit_code(capsys):
 def test_simulate_undetermined_names_the_limit(capsys):
     code, out, _ = run_cli(capsys, "simulate", "89/66", "--max-switches", "3")
     assert (code, json.loads(out)["stopped_by"]) == (3, "max_switches")
-    code, out, _ = run_cli(capsys, "simulate", "89/66", "--max-time", "7/2")
-    assert (code, json.loads(out)["stopped_by"]) == (3, "max_time")
     code, out, _ = run_cli(capsys, "simulate", "4/3")
     assert code == 0 and "stopped_by" not in json.loads(out)
 
@@ -116,6 +114,13 @@ def test_simulate_trace_file(tmp_path, capsys):
     assert doc["events"] == [
         {"t": rat_format(e.t), "x": rat_format(e.x), "kind": e.kind} for e in events
     ]
+
+
+def test_simulate_answers_a_delay_past_ten_thousand(capsys):
+    # the switch count is the only cap, so a long delay runs to its outcome
+    code, out, _ = run_cli(capsys, "simulate", "100000")
+    doc = json.loads(out)
+    assert (code, doc["outcome"], doc["total_switchings"]) == (0, "divergent_plus_inf", 2)
 
 
 def test_simulate_has_no_ic_flag(capsys):
@@ -235,25 +240,31 @@ def test_sweep_stdout_and_file(tmp_path, capsys):
 
 def test_sweep_limit_flags_reach_every_run(capsys):
     argv = ("sweep", "--k-max", "1", "--samples", "0")
-    for limit in (("--max-switches", "3"), ("--max-time", "1")):
-        code, out, err = run_cli(capsys, *argv, *limit)
-        rows = out.splitlines()[1:]
-        assert (code, err, len(rows)) == (1, "", 3)
-        assert all(row.endswith(",undetermined,,false") for row in rows)
+    code, out, err = run_cli(capsys, *argv, "--max-switches", "3")
+    rows = out.splitlines()[1:]
+    assert (code, err, len(rows)) == (1, "", 3)
+    assert all(row.endswith(",undetermined,,false") for row in rows)
 
 
-@pytest.mark.parametrize("flag", ["--max-switches", "--max-time"])
-@pytest.mark.parametrize(
-    "argv",
-    [("simulate", "4/3"), ("verify", "4/3"), ("render", "4/3"), ("sweep", "--k-max", "1")],
-    ids=lambda argv: argv[0],
-)
-def test_every_simulating_command_takes_both_limit_flags(argv, flag, capsys):
-    code, _, err = run_cli(capsys, *argv, flag, "1000")
+SIMULATING_COMMANDS = [
+    ("simulate", "4/3"), ("verify", "4/3"), ("render", "4/3"), ("sweep", "--k-max", "1")
+]
+
+
+@pytest.mark.parametrize("argv", SIMULATING_COMMANDS, ids=lambda argv: argv[0])
+def test_every_simulating_command_takes_the_switch_limit_flag(argv, capsys):
+    code, _, err = run_cli(capsys, *argv, "--max-switches", "1000")
     assert (code, err) == (0, "")
     # the value reaches the engine, which refuses a limit of zero
-    code, out, err = run_cli(capsys, *argv, flag, "0")
+    code, out, err = run_cli(capsys, *argv, "--max-switches", "0")
     assert (code, out, err) == (2, "", "delayswitch: limits must be positive\n")
+
+
+def test_no_command_takes_a_time_limit(capsys):
+    # the switch count bounds every run, so there is no --max-time
+    for argv in SIMULATING_COMMANDS:
+        code, out, err = run_cli(capsys, *argv, "--max-time", "7/2")
+        assert (code, out) == (2, "") and "--max-time" in err
 
 
 def test_verify_ok(capsys):
@@ -310,9 +321,8 @@ class _LastLine(io.TextIOBase):
 
 
 def test_verify_and_simulate_answer_past_the_fixed_limits():
-    # tau_2600 closes its first cycle at switching 10,403, near t = 10,404:
-    # past 10,000 switchings and time units, so the engine raises the limits
-    # no flag sets, for every command
+    # tau_2600 closes its first cycle at switching 10,403, past 10,000, so
+    # the engine raises the switch limit no flag sets, for every command
     tau = rat_format(critical_value(CriticalKind.TAU, 2600))
     sink = _LastLine()
     with contextlib.redirect_stdout(sink):
@@ -330,20 +340,6 @@ def test_verify_names_the_limit_that_stopped_an_undetermined_run(capsys):
     assert code == 1
     assert "simulation: undetermined, 3 switchings, stopped by max_switches" in out
     assert out.endswith("VERDICT: DISAGREE\n")
-    code, out, _ = run_cli(capsys, "verify", "4/3", "--max-time", "2")
-    assert code == 1 and "stopped by max_time" in out
-
-
-def test_max_time_flag_takes_rational_literals(capsys):
-    assert run_cli(capsys, "simulate", "89/66", "--max-time", "7/2")[0] == 3
-
-    for argv in (
-        ("simulate", "89/66", "--max-time", "abc"),
-        ("verify", "4/3", "--max-time", "1e5"),
-    ):
-        code, out, err = run_cli(capsys, *argv)
-        assert (code, out) == (2, "")
-        assert err.startswith("delayswitch: not a rational literal: ")
 
 
 def test_render_deterministic_file(tmp_path, capsys):
@@ -396,6 +392,15 @@ def test_render_refuses_a_trajectory_past_the_float_range(capsys):
     # times of 10^400 have no float, and render draws in floats
     code, out, err = run_cli(capsys, "render", "1" + "0" * 400)
     assert (code, out, err) == (2, "", "delayswitch: the trajectory runs past the float range\n")
+
+
+def test_render_refuses_a_scale_past_the_float_range(capsys):
+    # a width of 10^308 is a float, but over the 1/10 time units of one
+    # switch it scales past the float range, to inf and nan
+    argv = ("render", "1/10", "--max-switches", "1", "--width", "1" + "0" * 308)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "delayswitch: the plot's scale runs past the float range\n"
 
 
 @pytest.mark.parametrize(

@@ -141,17 +141,17 @@ _DELAYS = st.one_of(
 
 
 @settings(max_examples=150, deadline=None)
-@given(tau=_DELAYS, max_switches=st.sampled_from([40, 200]), max_time=st.sampled_from([25, 400]))
-@example(F(4, 3), 200, 400)
-@example(F(11, 8), 200, 400)
-@example(F(63, 43), 200, 400)
-@example(F(147, 100), 200, 400)
-@example(F(145, 99), 40, 25)
-@example(F(1, 2), 40, 25)
-def test_detect_period_earliest_pair(tau, max_switches, max_time):
+@given(tau=_DELAYS, max_switches=st.sampled_from([5, 40, 200]))
+@example(F(4, 3), 200)
+@example(F(11, 8), 200)
+@example(F(63, 43), 200)
+@example(F(147, 100), 200)
+@example(F(145, 99), 5)
+@example(F(1, 2), 40)
+def test_run_ends_at_the_earliest_recurrence(tau, max_switches):
     # the reported cycle is the earliest exact recurrence of the full state;
     # a run that ends otherwise shows no recurrence in its own turning points
-    out = run(tau, max_switches, max_time)
+    out = run(tau, max_switches)
     if not isinstance(out, Periodic):
         assert earliest_recurrence(post_switch_states(out.trace.turning_points, tau)) is None
         return
@@ -161,7 +161,7 @@ def test_detect_period_earliest_pair(tau, max_switches, max_time):
     assert out.least_period == replay[i + m - 1].beta - replay[i - 1].beta
 
 
-def test_detect_period_distinguishes_offsets():
+def test_recurrence_compares_pending_offsets():
     # 11/8 is at -7/8 with slope +1 after switch 6 and after switch 8, with
     # two switches pending the first time and none the second: only the full
     # state may close the cycle
@@ -248,6 +248,24 @@ def test_out_of_window_tau_runs_empirically():
     assert out.switchings_per_period == 2
     out = run(F(2))  # above 3/2: still concludes on its own
     assert isinstance(out, (Periodic, Divergent))
+    # 10^5 meets 0 and 1 before its first switch at t = 10^5, and after
+    # the second it rises past 1 for good: no time cap cuts it short
+    out = run(F(10**5))
+    assert (type(out), out.direction, out.total_switchings) == (Divergent, 1, 2)
+
+
+def test_sized_limit_covers_the_sigma_delays_above_the_window():
+    # sigma_m = 6*4^m/(4^(m+1) - 1) closes its cycle at switch 4m + 7, and
+    # the delays between sigma_(m+1) and sigma_m diverge after 2m + 4
+    # switchings; from m = 2,499 and 4,999 on these exceed 10,000
+    tau = F(6 * 4**4990, 4**4991 - 1)
+    out = run(tau)
+    assert isinstance(out, Periodic)
+    assert out.start_switch + out.switchings_per_period == 4 * 4990 + 7
+    out = run(F(3, 2) + F(3, 4**5002))  # between sigma_5001 and sigma_5000
+    assert (type(out), out.direction, out.total_switchings) == (Divergent, 1, 2 * 5000 + 4)
+    # an explicit limit keeps its meaning
+    assert run(tau, 10_000).stopped_by == "max_switches"
 
 
 def test_limits_give_undetermined():
@@ -255,9 +273,6 @@ def test_limits_give_undetermined():
     assert isinstance(out, Undetermined)
     assert out.switchings_executed == 3
     assert out.stopped_by == "max_switches"
-    out = run(F(89, 66), max_time=F(2))
-    assert isinstance(out, Undetermined)
-    assert out.stopped_by == "max_time"
     with pytest.raises(ValueError):
         run(F(89, 66), max_switches=0)
     with pytest.raises(ValueError):
@@ -265,7 +280,7 @@ def test_limits_give_undetermined():
 
 
 def test_simulate_switches_refuses_non_positive_limits_as_run_does():
-    for limits in ((0,), (-3,), (5, 0)):
+    for limits in ((0,), (-3,)):
         with pytest.raises(ValueError, match="limits must be positive"):
             simulate_switches(F(89, 66), *limits)
         with pytest.raises(ValueError, match="limits must be positive"):
@@ -273,23 +288,20 @@ def test_simulate_switches_refuses_non_positive_limits_as_run_does():
 
 
 def test_explicit_limits_keep_their_meaning_past_the_fixed_ones():
-    # tau_2600 needs 10,403 switchings and about 10,404 time units: the
-    # engine sizes a limit left unset, never one the caller gives
+    # tau_2600 needs 10,403 switchings: the engine sizes a limit left unset,
+    # never one the caller gives
     tau = critical_value(CriticalKind.TAU, 2600)
     by_switches = run(tau, max_switches=10_000)
     assert (by_switches.stopped_by, by_switches.switchings_executed) == ("max_switches", 10_000)
-    assert run(tau, max_time=10_000).stopped_by == "max_time"
     # a float delay runs as the Fraction it equals
     assert run(1.4) == run(F(1.4))
 
 
 def test_stopped_by_names_the_limit_that_fired():
     tau = F(89, 66)
-    by_switches = run(tau, max_switches=5, max_time=F(1000))
+    by_switches = run(tau, max_switches=5)
     assert (by_switches.stopped_by, by_switches.switchings_executed) == ("max_switches", 5)
-    by_time = run(tau, max_switches=1000, max_time=F(7, 2))
-    assert by_time.stopped_by == "max_time"
-    assert by_time.trace.events[-1].t >= F(7, 2) > by_time.trace.events[-2].t
+    assert by_switches.trace.rows[-1][2] == "switch"  # the run ends on its 5th switch
     # the two-argument constructor still works and defaults to max_switches
     assert Undetermined(3, by_switches.trace).stopped_by == "max_switches"
 
@@ -322,7 +334,7 @@ def test_delay_exactness_and_slope_parity():
                 assert (b.x - a.x) / (b.t - a.t) == (-1) ** switches
 
 
-def test_snapshot_offsets_invariant():
+def test_pending_offsets_lie_within_tau():
     for tau in sample_taus():
         points = simulate_switches(tau, 80).turning_points
         for _, _, offsets in post_switch_states(points, tau):

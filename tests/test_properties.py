@@ -1,10 +1,11 @@
 """Property tests: the exact engine against the closed forms on random delays,
-its rows against the dynamics, its own limits against the old fixed ones,
-the row period certificate against a plain stepper's replay, and the
-replay's repeated cycle against that stepper.
+its rows against the dynamics, its own switch limit against the old fixed
+one and against every delay, the row period certificate against a plain
+stepper's replay, and the replay's repeated cycle against that stepper.
 
 Delays are random rationals in [4/3, 3/2) with denominators up to 10^12,
-plus the exact critical values, where the behaviour changes.
+plus the exact critical values, where the behaviour changes, and, for the
+switch limit, delays above 3/2 and across [10^-30, 10^30].
 """
 
 from fractions import Fraction as F
@@ -22,10 +23,10 @@ from delayswitch.analysis import (
     horizon_J,
 )
 from delayswitch.engine import (
-    DEFAULT_MAX_TIME,
     Divergent,
     Periodic,
     SimTrace,
+    Undetermined,
     run,
     simulate_switches,
 )
@@ -120,7 +121,7 @@ def test_row_certificate_agrees_with_a_replay(tau):
 
 
 # delays inside the window and on both sides of it, run to the end or cut
-# short by a switch or time limit
+# short by a switch limit
 any_delays = st.one_of(
     window_delays(),
     critical_delays,
@@ -143,9 +144,9 @@ def _mutants(rows):
 
 
 @settings(max_examples=150, deadline=None)
-@given(any_delays, st.sampled_from([None, 7, 60]), st.sampled_from([None, F(9, 2), 40]))
-def test_rows_obey_the_dynamics_and_no_mutant_does(tau, max_switches, max_time):
-    trace = run(tau, max_switches, max_time).trace
+@given(any_delays, st.sampled_from([None, 7, 60]))
+def test_rows_obey_the_dynamics_and_no_mutant_does(tau, max_switches):
+    trace = run(tau, max_switches).trace
     assert check_rows(trace) is None
     assert check_rows(simulate_switches(tau, 30)) is None
     for rows in _mutants(trace.rows[:120]):
@@ -171,18 +172,51 @@ def window_delays_up_to_k_64(draw) -> F:
 @settings(max_examples=100, deadline=None)
 @given(window_delays_up_to_k_64())
 def test_window_runs_up_to_k_64_keep_the_fixed_limits(tau):
-    # the sized limits stay at 10,000 switchings below k = 2,499 and 10,000
-    # in time below k = 1,249, so these runs (every one the benchmark makes)
-    # are the runs under the old fixed limits
-    assert run(tau) == run(tau, 10_000, 10_000)
+    # the sized limit stays at 10,000 switchings below k = 2,499, so these
+    # runs (every one the benchmark makes) are the runs under the old fixed
+    # limit
+    assert run(tau) == run(tau, 10_000)
+
+
+def sigma(m: int) -> F:
+    return F(6 * 4**m, 4 ** (m + 1) - 1)
 
 
 @st.composite
-def replay_cuts(draw) -> tuple[F, int, F | None]:
-    """A delay below, inside or above the window, and a switch count and a
-    time limit (None: sized by the engine) that end its replay before the
-    recurrence is seen, exactly there or after it, some on an instant
-    holding a hit and a switch."""
+def delays_above_the_window(draw) -> F:
+    """sigma_m or a point between sigma_(m+1) and sigma_m, for m <= 300."""
+    m = draw(st.integers(min_value=0, max_value=300))
+    where = draw(st.fractions(0, 1, max_denominator=10**6).filter(lambda s: s < 1))
+    return draw(st.sampled_from([sigma(m), sigma(m + 1) + (sigma(m) - sigma(m + 1)) * where]))
+
+
+@st.composite
+def delays_across_magnitudes(draw) -> F:
+    """p/q in [10^-30, 10^30], spread over its orders of magnitude."""
+    scale = F(10) ** draw(st.integers(min_value=-30, max_value=29))
+    return scale * draw(st.fractions(1, 10, max_denominator=10**6))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(window_delays(), delays_above_the_window(), delays_across_magnitudes()))
+@example(F(10**4))
+@example(F(10**5))
+@example(sigma(5100))  # closes its cycle at switch 20,407
+# 3/2 + 3/4^5102 lies between sigma_5101 and sigma_5100 and diverges after
+# 10,204 switchings; unlike their midpoint, its terms stay under 4,300 digits
+# for the repr of an example
+@example(F(3, 2) + F(3, 4**5102))
+def test_a_run_with_no_limit_set_always_ends(tau):
+    # the switch limit is the only cap, and a limit left unset is sized
+    # wherever the runs are known to need more than the default
+    assert not isinstance(run(tau), Undetermined)
+
+
+@st.composite
+def replay_cuts(draw) -> tuple[F, int]:
+    """A delay below, inside or above the window, and a switch count that
+    ends its replay before the recurrence is seen, exactly there or after
+    it, some on an instant holding a hit and a switch."""
     tau = draw(
         st.one_of(
             window_delays(),
@@ -198,31 +232,28 @@ def replay_cuts(draw) -> tuple[F, int, F | None]:
     else:
         seen = end = len(out.trace.switches) + 2
     rows = step_rows(tau, end)
-    switch_times = [t for t, _, kind in rows if kind == "switch"]
-    t_seen = switch_times[min(seen, len(switch_times)) - 1]
-    instants = [a[0] for a, b in zip(rows, rows[1:]) if a[0] == b[0]]  # a hit and a switch
-    n = draw(st.sampled_from([seen - 1, seen, seen + 1, end]) | st.integers(1, end))
-    near = [t_seen - 1, t_seen, t_seen + 1, *instants]
-    cut = draw(st.sampled_from(near) | st.integers(1, rows[-1][0] + 1))
-    limit = draw(st.sampled_from([F(cut, tau.denominator), F(10 * DEFAULT_MAX_TIME), None]))
-    return tau, max(n, 1), None if limit is None else max(limit, F(1, tau.denominator))
+    at = [n for n, (_, _, kind) in enumerate(rows) if kind == "switch"]
+    on_hits = [j for j, n in enumerate(at, start=1) if rows[n - 1][0] == rows[n][0]]
+    n = draw(st.sampled_from([seen - 1, seen, seen + 1, end, *on_hits]) | st.integers(1, end))
+    return tau, max(n, 1)
 
 
 @settings(max_examples=200, deadline=None)
 @given(replay_cuts())
-@example((critical_value(CriticalKind.TAU, 1), 10_000, F(18)))  # cut on a hit and a switch
-@example((critical_value(CriticalKind.TAU, 2), 10_000, F(342, 11)))  # the same, 16/11
-@example((critical_value(CriticalKind.TAU, 1), 18, F(10 * DEFAULT_MAX_TIME)))
-@example((critical_value(CriticalKind.TAU, 1), 20_000, F(10 * DEFAULT_MAX_TIME)))
-@example((F(63, 43), 50, F(10 * DEFAULT_MAX_TIME)))  # divergent: no recurrence
-@example((critical_value(CriticalKind.THETA, 1), 50, F(10 * DEFAULT_MAX_TIME)))
-@example((F(5, 2), 50, F(10 * DEFAULT_MAX_TIME)))
-@example((critical_value(CriticalKind.TAU, 1), 20_000, None))
+# the 21st and 24th switches of 4/3 and the 25th of 16/11 fall on a hit (the
+# event words' B and A): the cut keeps that instant's hit and switch
+@example((critical_value(CriticalKind.TAU, 1), 21))
+@example((critical_value(CriticalKind.TAU, 1), 24))
+@example((critical_value(CriticalKind.TAU, 2), 25))
+@example((critical_value(CriticalKind.TAU, 1), 18))
+@example((critical_value(CriticalKind.TAU, 1), 20_000))
+@example((F(63, 43), 50))  # divergent: no recurrence
+@example((critical_value(CriticalKind.THETA, 1), 50))
+@example((F(5, 2), 50))
 def test_replay_repeats_its_cycle_as_the_stepper_runs(cut):
     # past a recurrence the replay repeats the cycle's rows instead of
-    # stepping; it must stop on the very row where stepping would.  A time
-    # limit left None is sized as run sizes it: 10,000 for every k drawn here
-    tau, n, max_time = cut
-    trace = simulate_switches(tau, n, max_time)
-    assert trace.rows == step_rows(tau, n, 10_000 if max_time is None else max_time)
+    # stepping; it must stop on the very row where stepping would
+    tau, n = cut
+    trace = simulate_switches(tau, n)
+    assert trace.rows == step_rows(tau, n)
     assert check_rows(trace) is None

@@ -27,7 +27,7 @@ RECORDS = [
         {"least_period": F(218, 33), "switchings_per_period": 6, "start_switch": 1, "trace": TRACE},
     ),
     (engine.Divergent, {"direction": -1, "total_switchings": 9, "trace": TRACE}),
-    (engine.Undetermined, {"switchings_executed": 1, "trace": TRACE, "stopped_by": "max_time"}),
+    (engine.Undetermined, {"switchings_executed": 1, "trace": TRACE, "stopped_by": "max_switches"}),
     (
         validate.TheoremCheck,
         {

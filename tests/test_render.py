@@ -42,6 +42,14 @@ def test_a_size_past_the_float_range_is_refused():
             render_trajectory(outcome, **size)
 
 
+def test_a_scale_past_the_float_range_is_refused():
+    # 10**308 is a float, but spread over the 1/10 time units of one switch
+    # it scales past the float range, which would write inf and nan
+    outcome = engine.run(F(1, 10), max_switches=1)
+    with pytest.raises(ValueError, match="scale runs past the float range"):
+        render_trajectory(outcome, width=10**308)
+
+
 def test_byte_determinism():
     outcome = engine.run(F(64, 43))
     first = render_trajectory(outcome, label_indices=(5, 7), title="tau = 64/43")
