@@ -211,7 +211,7 @@ def test_horizon_J_matches_the_alpha_scan():
     assert horizon_J(rat_parse("1.4" + "9" * 70)) == 237  # k = 117, past the old j <= 200 scan
 
 
-def test_horizon_domain():
+def test_horizon_domain_and_cap():
     assert horizon_J(F(4, 3)) == 3  # alpha_3 = 1 exactly at tau_1
     with pytest.raises(ValueError):
         horizon_J(F(3, 2))

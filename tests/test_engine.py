@@ -148,7 +148,7 @@ _DELAYS = st.one_of(
 @example(F(147, 100), 200)
 @example(F(145, 99), 5)
 @example(F(1, 2), 40)
-def test_run_ends_at_the_earliest_recurrence(tau, max_switches):
+def test_detect_period_earliest_pair(tau, max_switches):
     # the reported cycle is the earliest exact recurrence of the full state;
     # a run that ends otherwise shows no recurrence in its own turning points
     out = run(tau, max_switches)
@@ -161,7 +161,7 @@ def test_run_ends_at_the_earliest_recurrence(tau, max_switches):
     assert out.least_period == replay[i + m - 1].beta - replay[i - 1].beta
 
 
-def test_recurrence_compares_pending_offsets():
+def test_detect_period_distinguishes_offsets():
     # 11/8 is at -7/8 with slope +1 after switch 6 and after switch 8, with
     # two switches pending the first time and none the second: only the full
     # state may close the cycle
@@ -334,7 +334,7 @@ def test_delay_exactness_and_slope_parity():
                 assert (b.x - a.x) / (b.t - a.t) == (-1) ** switches
 
 
-def test_pending_offsets_lie_within_tau():
+def test_snapshot_offsets_invariant():
     for tau in sample_taus():
         points = simulate_switches(tau, 80).turning_points
         for _, _, offsets in post_switch_states(points, tau):

@@ -211,7 +211,7 @@ def test_bare_tau_closed_form_check_runs_only_the_horizon(monkeypatch):
         assert asked and max(asked) <= horizon_J(tau), tau
 
 
-def test_check_closed_form_horizon_at_k_99_and_130():
+def test_check_closed_form_horizon_beyond_j_200():
     # J is 2k+1 at tau_k and 2k+3 elsewhere in [tau_k, tau_{k+1})
     for k in (99, 130):
         tau_k = critical_value(CriticalKind.TAU, k)
