@@ -53,20 +53,25 @@ def _fail(message: str, code: int) -> int:
 
 
 def _atomic_write(path: str, data: str) -> None:
+    """Write ``data`` to ``path`` through a temporary file beside it; a
+    failure names ``path`` with the system's reason and leaves no temporary."""
     directory = os.path.dirname(os.path.abspath(path))
     tmp = os.path.join(directory, f".delayswitch-{os.urandom(8).hex()}")
-    # "x" creates the file as open(path, "w") would, with the umask's mode
-    fh = open(tmp, "x", encoding="utf-8")
     try:
-        with fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
+        # "x" creates the file as open(path, "w") would, with the umask's mode
+        fh = open(tmp, "x", encoding="utf-8")
         try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+            with fh:
+                fh.write(data)
+            os.replace(tmp, path)
+        except BaseException:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+            raise
+    except OSError as exc:
+        raise OSError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _run(args) -> engine.Outcome:

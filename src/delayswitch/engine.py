@@ -3,12 +3,14 @@
 The position moves with slope +1 or -1.  Whenever the path reaches the
 critical set {0, 1} (a "hit", including tangential touches) the active slope
 is toggled exactly ``tau`` later (a "switch"; the point (beta_j, alpha_j) is
-the j-th turning point).  Between events the path is linear, so with a
-rational delay tau = p/q every event time and coordinate lies in (1/q)*Z.
-The event loop therefore runs on plain integers scaled by q (boundaries 0
-and q, delay p), which is exact without any gcd work.  A trace keeps those
-scaled rows; its ``Fraction`` events and turning points are each built from
-them on first access, so checks that read the rows never pay for them.
+the j-th turning point).  Between two switches the path is a straight
+segment meeting each of 0 and 1 at most once, so the event loop runs from
+switch to switch, one iteration each, and with a rational delay tau = p/q
+every event time and coordinate lies in (1/q)*Z.  The loop therefore runs
+on plain integers scaled by q (boundaries 0 and q, delay p), which is exact
+without any gcd work.  A trace keeps those scaled rows; its ``Fraction``
+events and turning points are each built from them on first access, so
+checks that read the rows never pay for them.
 One limit bounds a run, its number of switches; ``run`` sizes it when the
 caller leaves it unset, raising the default to cover the longest run the
 paper's window or the sigma_m above it can need, so every delay ends
@@ -132,21 +134,21 @@ def _simulate(tau: Rat, max_switches: int | None) -> Outcome:
     Works in units of 1/q for tau = p/q: the boundaries are 0 and q, the
     delay is p, and time T, position X and the pending switch times are
     ints.  ``due`` lists every switch time scheduled, the pending ones being
-    ``due[head:]``.  Each step advances to the earliest event: a boundary
-    hit (the ray meeting 0 or q, touches included) appends the switch time
-    T + p to ``due``; a due switch advances ``head`` and toggles the slope.
-    A hit and a switch at one instant are both processed there, the hit
-    first, so the post-switch state already holds the freshly scheduled
-    switch.  The post-switch state (slope, X, pending offsets) is the
-    complete Markov state, and its first exact recurrence ends the run as
-    Periodic.  ``head`` is also the number of switches run, and ``seen``
-    maps (slope, X) to the entries (head, T, len(due)) of the states seen
-    there, whose offsets are compared only when the pair repeats.  An empty
-    queue with the ray pointing away from both boundaries ends the run as
-    Divergent; the limit of :func:`_switch_limit` ends it as Undetermined.
-    Every step is a hit or a switch, and between two switches the path is
-    monotone and meets each boundary at most once, so that limit bounds the
-    steps and the rows too.
+    ``due[head:]``.  Each iteration runs to the next switch.  Up to it the
+    path is a ray of fixed slope, which meets each boundary at most once:
+    the boundaries ahead of it, nearest first, that it meets no later than
+    the next due switch are hits, each appending its switch time T + p to
+    ``due``.  A hit at the switch instant is recorded first, so the
+    post-switch state already holds the freshly scheduled switch.  The
+    switch advances ``head`` and toggles the slope; ``head`` thus counts
+    iterations and switches alike.  The post-switch state (slope, X, pending
+    offsets) is the complete Markov state, and its first exact recurrence
+    ends the run as Periodic.  ``seen`` maps (slope, X) to the entries
+    (head, T, len(due)) of the states seen there, whose offsets are compared
+    only when the pair repeats.  An empty queue with the ray pointing away
+    from both boundaries ends the run as Divergent; the limit of
+    :func:`_switch_limit` ends it as Undetermined.  Short of both, a switch
+    lies ahead: one is pending, or the ray meets a boundary that schedules one.
     """
     tau = Fraction(tau)
     max_switches = _switch_limit(tau, max_switches)
@@ -161,39 +163,27 @@ def _simulate(tau: Rat, max_switches: int | None) -> Outcome:
             return Divergent(slope, head, SimTrace(tau, tuple(events)))
         if head >= max_switches:
             return Undetermined(head, SimTrace(tau, tuple(events)))
-        if slope > 0:
-            hit = t - x if x < 0 else (t + q - x if x < q else None)
-        else:
-            hit = t + x - q if x > q else (t + x if x > 0 else None)
-        if head < len(due) and (hit is None or due[head] <= hit):
-            t_next = due[head]
-            did_hit, did_switch = hit == t_next, True
-        elif hit is None:
-            raise RuntimeError("no future event in a non-divergent state")
-        else:
-            t_next, did_hit, did_switch = hit, True, False
-        x += slope * (t_next - t)
-        t = t_next
-        if did_hit:
-            assert x == 0 or x == q
-            scheduled = t + p
-            # hits are isolated instants, so the schedule stays strictly increasing
-            assert due[-1] < scheduled
-            due.append(scheduled)
-            events.append((t, x, "hit"))
-        if did_switch:
-            assert did_hit or (x != 0 and x != q)
-            head += 1
-            slope = -slope
-            events.append((t, x, "switch"))
-            entries = seen.setdefault((slope, x), [])
-            if entries:
-                offsets = [d - t for d in due[head:]]
-                for i, t_i, n in entries:  # in order, so the first match is the earliest
-                    if [d - t_i for d in due[i:n]] == offsets:
-                        trace = SimTrace(tau, tuple(events))
-                        return Periodic(Fraction(t - t_i, q), head - i, i, trace)
-            entries.append((head, t, len(due)))
+        for b in (0, q) if slope > 0 else (q, 0):
+            hit = t + slope * (b - x)
+            if hit <= t:  # behind the ray, or met at this instant before the switch
+                continue
+            if head < len(due) and due[head] < hit:
+                break
+            due.append(hit + p)
+            events.append((hit, b, "hit"))
+        x += slope * (due[head] - t)
+        t = due[head]
+        head += 1
+        slope = -slope
+        events.append((t, x, "switch"))
+        entries = seen.setdefault((slope, x), [])
+        if entries:
+            offsets = [d - t for d in due[head:]]
+            for i, t_i, n in entries:  # in order, so the first match is the earliest
+                if [d - t_i for d in due[i:n]] == offsets:
+                    trace = SimTrace(tau, tuple(events))
+                    return Periodic(Fraction(t - t_i, q), head - i, i, trace)
+        entries.append((head, t, len(due)))
 
 
 def run(tau: Rat, max_switches: int | None = None) -> Outcome:

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import errno
 import io
 import json
 import os
@@ -360,6 +361,26 @@ def test_render_io_failure(tmp_path, capsys):
     target = tmp_path / "missing-dir" / "fig.svg"
     code, _, err = run_cli(capsys, "render", "64/43", "--out", str(target))
     assert code == 4
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("simulate", "4/3", "--trace"),
+        ("render", "4/3", "--out"),
+        ("sweep", "--k-max", "1", "--samples", "1", "--out"),
+    ],
+)
+def test_a_failed_write_names_the_given_path(argv, tmp_path, capsys):
+    # the message names the user's path and the system's reason, never the
+    # temporary file beside it, and no temporary file is left behind
+    missing, directory = tmp_path / "missing" / "t.json", tmp_path / "d"
+    directory.mkdir()
+    for target, reason in ((missing, errno.ENOENT), (directory, errno.EISDIR)):
+        code, out, err = run_cli(capsys, *argv, str(target))
+        assert (code, out) == (4, "")
+        assert err == f"delayswitch: cannot write {target}: {os.strerror(reason)}\n"
+    assert [path.name for path in tmp_path.rglob("*")] == ["d"]
 
 
 def test_render_refuses_sizes_without_a_plot_area(capsys):

@@ -41,7 +41,7 @@ def test_initial_hits_canonical():
 # --- ray geometry ----------------------------------------------------------
 
 
-def test_next_boundary_hit_cases():
+def test_hits_are_the_boundaries_ahead_of_the_ray():
     # from (0, 0) rising, the first hit is at 1 after unit time
     assert run(F(4, 3)).trace.events[1] == TraceEvent(F(1), F(1), "hit")
     # 63/43 falls from 48/43 (switch 5) to 1 and on to 0, then rises from
@@ -65,7 +65,7 @@ def test_next_boundary_hit_cases():
         assert on_boundary == hit_points  # every contact is a hit, every hit a contact
 
 
-def test_step_orders_hit_before_scheduled_switch():
+def test_a_hit_at_a_switch_instant_comes_first():
     events = run(F(4, 3)).trace.events
     assert events[1] == TraceEvent(F(1), F(1), "hit")
     assert events[2] == TraceEvent(F(4, 3), F(4, 3), "switch")
@@ -78,8 +78,8 @@ def test_step_orders_hit_before_scheduled_switch():
                 assert (a.kind, b.kind) == ("hit", "switch") and a.x == b.x
 
 
-def test_step_requires_future_event():
-    # the loop stops at divergence instead of stepping into an eventless state
+def test_a_divergent_run_ends_on_its_last_switch():
+    # nothing is due after switch 9 and the ray points away from 0 and 1
     out = run(F(63, 43))
     assert isinstance(out, Divergent) and out.direction == -1
     last = out.trace.events[-1]
@@ -266,6 +266,20 @@ def test_sized_limit_covers_the_sigma_delays_above_the_window():
     assert (type(out), out.direction, out.total_switchings) == (Divergent, 1, 2 * 5000 + 4)
     # an explicit limit keeps its meaning
     assert run(tau, 10_000).stopped_by == "max_switches"
+
+
+@pytest.mark.parametrize(
+    "tau, n, decided, rows_before",
+    [(F(63, 43), 9, Divergent, 17), (F(4, 3), 7, Periodic, 13), (F(5, 2), 2, Divergent, 3)],
+)
+def test_a_limit_at_the_deciding_switch_decides(tau, n, decided, rows_before):
+    # divergence and recurrence are checked at the switch that reaches the
+    # limit, so a limit of n decides the run and a limit of n - 1 does not
+    before, at = run(tau, n - 1), run(tau, n)
+    assert (type(before), type(at)) == (Undetermined, decided)
+    assert (before.switchings_executed, len(before.trace.rows)) == (n - 1, rows_before)
+    assert before.trace.rows == at.trace.rows[: len(before.trace.rows)]
+    assert at == run(tau)
 
 
 def test_limits_give_undetermined():

@@ -1,7 +1,8 @@
 """Property tests: the exact engine against the closed forms on random delays,
 its rows against the dynamics, its own switch limit against the old fixed
-one and against every delay, the row period certificate against a plain
-stepper's replay, and the replay's repeated cycle against that stepper.
+one and against every delay, a limit at the deciding switch against one
+short of it, the row period certificate against a plain stepper's replay,
+and the replay's repeated cycle against that stepper.
 
 Delays are random rationals in [4/3, 3/2) with denominators up to 10^12,
 plus the exact critical values, where the behaviour changes, and, for the
@@ -156,6 +157,24 @@ def test_rows_obey_the_dynamics_and_no_mutant_does(tau, max_switches):
     assert check_rows(SimTrace(tau, later)) is not None
     longer = tau + F(1, tau.denominator)
     assert longer.denominator != tau.denominator or check_rows(SimTrace(longer, trace.rows))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(window_delays(), critical_delays))
+@example(F(63, 43))
+@example(F(4, 3))
+def test_a_limit_at_the_deciding_switch_decides_the_run(tau):
+    # the run is decided at its n-th switch: a limit of n decides it too, and
+    # a limit of n - 1 leaves it Undetermined; both keep the stepper's rows
+    out = run(tau)
+    if isinstance(out, Divergent):
+        n = out.total_switchings
+    else:
+        n = out.start_switch + out.switchings_per_period
+    for limit, kind in ((n, type(out)), (n - 1, Undetermined)):
+        limited = run(tau, limit)
+        assert type(limited) is kind
+        assert limited.trace.rows == step_rows(tau, limit)
 
 
 @st.composite
