@@ -19,7 +19,7 @@ import sys
 from fractions import Fraction
 
 from . import analysis, engine, render, validate
-from .exact import _INT_RE, rat_format, rat_parse, rat_to_decimal
+from .exact import _INT_RE, _convert, rat_format, rat_parse, rat_to_decimal
 
 DECIMAL_DIGITS = 12
 
@@ -42,9 +42,10 @@ def _shown(value: Fraction) -> str:
 
 def _integer(text: str) -> int:
     """An integer as ``rat_parse`` reads one: an optional sign, then ASCII digits."""
-    if not _INT_RE.match(text.strip()):
-        raise argparse.ArgumentTypeError(f"{text.strip()!r} is not an integer")
-    return int(text)
+    token = text.strip()
+    if not _INT_RE.match(token):
+        raise argparse.ArgumentTypeError(f"{token!r} is not an integer")
+    return _convert(int, token)
 
 
 def _fail(message: str, code: int) -> int:

@@ -12,9 +12,9 @@ without any gcd work.  A trace keeps those scaled rows; its ``Fraction``
 events and turning points are each built from them on first access, so
 checks that read the rows never pay for them.
 One limit bounds a run, its number of switches; ``run`` sizes it when the
-caller leaves it unset, raising the default to cover the longest run the
-paper's window or the sigma_m above it can need, so every delay ends
-Periodic or Divergent unless the caller sets a tighter limit.
+caller leaves it unset from p/q alone, by how many powers of 4 separate
+tau from 3/2, so every delay ends Periodic or Divergent unless the caller
+sets a tighter limit.
 
 The complete Markov state is (slope, position, pending switch offsets):
 exact recurrence of that state across two switch instants certifies
@@ -36,7 +36,6 @@ from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
 
-from . import analysis
 from .exact import Rat
 
 DEFAULT_MAX_SWITCHES = 10_000
@@ -114,20 +113,6 @@ class Undetermined(NamedTuple):
 Outcome = Periodic | Divergent | Undetermined
 
 
-def _switch_limit(tau: Fraction, max_switches: int | None) -> int:
-    """The switch limit for tau, sized as :func:`run` describes when left
-    None.  A delay or a limit of zero or less raises ValueError."""
-    if max_switches is not None and max_switches <= 0:
-        raise ValueError("limits must be positive")
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-    if max_switches is not None:
-        return max_switches
-    k, m = analysis.window_k(tau), analysis.sigma_m(tau)
-    n = 4 * k + 6 if k is not None else (4 * m + 8 if m is not None else 0)
-    return max(DEFAULT_MAX_SWITCHES, n)
-
-
 def _simulate(tau: Rat, max_switches: int | None) -> Outcome:
     """The event loop behind :func:`run` and :func:`simulate_switches`.
 
@@ -146,13 +131,21 @@ def _simulate(tau: Rat, max_switches: int | None) -> Outcome:
     ends the run as Periodic.  ``seen`` maps (slope, X) to the entries
     (head, T, len(due)) of the states seen there, whose offsets are compared
     only when the pair repeats.  An empty queue with the ray pointing away
-    from both boundaries ends the run as Divergent; the limit of
-    :func:`_switch_limit` ends it as Undetermined.  Short of both, a switch
-    lies ahead: one is pending, or the ray meets a boundary that schedules one.
+    from both boundaries ends the run as Divergent; the switch limit, sized
+    as :func:`run` describes when left None, ends it as Undetermined.  Short
+    of both, a switch lies ahead: one is pending, or the ray meets a boundary
+    that schedules one.
     """
+    if max_switches is not None and max_switches <= 0:
+        raise ValueError("limits must be positive")
     tau = Fraction(tau)
-    max_switches = _switch_limit(tau, max_switches)
+    if tau <= 0:
+        raise ValueError("tau must be positive")
     p, q = tau.numerator, tau.denominator
+    if max_switches is None:  # n = floor(log4(p // |2p - 3q|)), 0 at 3/2
+        d = abs(2 * p - 3 * q)
+        n = ((p // d).bit_length() - 1) // 2 if d else 0
+        max_switches = max(DEFAULT_MAX_SWITCHES, 4 * n + 8)
     t = x = head = 0
     slope = 1  # +1 exactly while the number of executed switches is even
     due = [p]  # every switch time scheduled, increasing; pending: due[head:]
@@ -191,14 +184,16 @@ def run(tau: Rat, max_switches: int | None = None) -> Outcome:
 
     After every switch the state is checked for exact recurrence (Periodic)
     and for divergence; reaching max_switches first yields Undetermined.
-    All arithmetic is exact.  A limit left None is 10,000 switchings, raised
-    to 4k + 6 for tau_k <= tau < tau_{k+1} in [4/3, 3/2) and to 4m + 8 for
-    sigma_(m+1) < tau <= sigma_m above 3/2 (see ``analysis.sigma_m``).  The
-    paper's counts (at most 4k + 2 per period, 4k + 5 before divergence)
-    leave room for the switchings before the cycle; above 3/2, exact runs
-    show sigma_m closing its cycle at switch 4m + 7 and the delays between
-    sigma_(m+1) and sigma_m diverging after 2m + 4.  The bound reads only
-    where tau lies, not the predicted outcome, so a wrong bound can leave a
+    All arithmetic is exact.  A limit left None is max(10,000, 4n + 8)
+    switchings for tau = p/q, where n = floor(log4(p // |2p - 3q|)) counts
+    the powers of 4 between tau and 3/2 (n = 0 at 3/2).  For tau_k <= tau <
+    tau_{k+1} in [4/3, 3/2) n is k, and the paper's counts (at most 4k + 2
+    per period, 4k + 5 before divergence) leave room for the switchings
+    before the cycle.  For sigma_(m+1) < tau <= sigma_m above 3/2, with
+    sigma_m = 6*4^m / (4^(m+1) - 1), n is m or m + 1, and exact runs show
+    sigma_m closing its cycle at switch 4m + 7 and the delays between
+    diverging after 2m + 4.  Elsewhere n is at most 1.  The limit reads
+    only p and q, not the predicted outcome, so a wrong limit can leave a
     run Undetermined but never decide it.
     """
     return _simulate(tau, max_switches)

@@ -151,7 +151,7 @@ def test_critical_table(capsys):
     assert signed == (0, out, "")
 
 
-def test_cli_answers_past_the_int_digit_limit_and_restores_it(capsys):
+def test_cli_answers_past_the_int_digit_limit(capsys):
     limit = sys.get_int_max_str_digits()
     k = 7143  # tau_k = 3*4^k / (2*4^k + 1) has more than 4,300 digits
     argv = ("critical", "--kind", "tau", "--k-from", str(k), "--k-to", str(k))
@@ -168,6 +168,11 @@ def test_cli_answers_past_the_int_digit_limit_and_restores_it(capsys):
     assert code == 0 and sys.get_int_max_str_digits() == limit
     doc = json.loads(out)
     assert (doc["regime"], doc["k"], doc["switch_count"]) == ("open_theta_zeta", 8306, 16618)
+
+    # an integer flag reads the same digits as a delay does, at any length
+    unlimited = run_cli(capsys, "simulate", "4/3")
+    assert run_cli(capsys, "simulate", "4/3", "--max-switches", "1" * 4400) == unlimited
+    assert unlimited[0] == 0 and sys.get_int_max_str_digits() == limit
 
 
 @pytest.mark.skipif(

@@ -1,10 +1,13 @@
+import ast
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from delayswitch import engine
 from delayswitch.analysis import CriticalKind, alpha_closed, beta_closed, critical_value, horizon_J
 from delayswitch.engine import (
     Divergent,
@@ -148,7 +151,7 @@ _DELAYS = st.one_of(
 @example(F(147, 100), 200)
 @example(F(145, 99), 5)
 @example(F(1, 2), 40)
-def test_detect_period_earliest_pair(tau, max_switches):
+def test_periodic_outcome_is_the_earliest_recurrence(tau, max_switches):
     # the reported cycle is the earliest exact recurrence of the full state;
     # a run that ends otherwise shows no recurrence in its own turning points
     out = run(tau, max_switches)
@@ -161,7 +164,7 @@ def test_detect_period_earliest_pair(tau, max_switches):
     assert out.least_period == replay[i + m - 1].beta - replay[i - 1].beta
 
 
-def test_detect_period_distinguishes_offsets():
+def test_recurrence_compares_pending_offsets():
     # 11/8 is at -7/8 with slope +1 after switch 6 and after switch 8, with
     # two switches pending the first time and none the second: only the full
     # state may close the cycle
@@ -266,6 +269,21 @@ def test_sized_limit_covers_the_sigma_delays_above_the_window():
     assert (type(out), out.direction, out.total_switchings) == (Divergent, 1, 2 * 5000 + 4)
     # an explicit limit keeps its meaning
     assert run(tau, 10_000).stopped_by == "max_switches"
+
+
+def test_engine_does_not_import_the_classifier():
+    # the engine sizes its limit from p/q alone, so the route the classifier
+    # is checked against reads nothing of it
+    imported = set()
+    for node in ast.walk(ast.parse(Path(engine.__file__).read_text())):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):  # a relative import is from delayswitch
+            module = ".".join(filter(None, ["delayswitch" if node.level else "", node.module]))
+            imported.update(f"{module}.{alias.name}" for alias in node.names)
+    assert imported and not any(
+        name.split(".")[:2] == ["delayswitch", "analysis"] for name in imported
+    ), imported
 
 
 @pytest.mark.parametrize(

@@ -220,6 +220,11 @@ def delays_across_magnitudes(draw) -> F:
 @given(st.one_of(window_delays(), delays_above_the_window(), delays_across_magnitudes()))
 @example(F(10**4))
 @example(F(10**5))
+# zeta_2499 and sigma_2499 are the first zeta and sigma delays whose runs
+# need more than 10,000 switchings (10,001 and 10,003), so the sized limit
+# alone decides them
+@example(critical_value(CriticalKind.ZETA, 2499))
+@example(sigma(2499))
 @example(sigma(5100))  # closes its cycle at switch 20,407
 # 3/2 + 3/4^5102 lies between sigma_5101 and sigma_5100 and diverges after
 # 10,204 switchings; unlike their midpoint, its terms stay under 4,300 digits
