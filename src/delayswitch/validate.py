@@ -18,8 +18,8 @@ solutions have slope +-1, so between two crossings its position at step n
 is x_first + (n - first)*inc.  Float multiplication and addition round
 monotonically, so its delayed sample is monotone wherever both of its reads
 lie in one such run: bisection finds the single step at which such a
-stretch crosses 0 or 1, and the cost follows the chunks and crossings, not
-the t_end/dt steps.
+stretch crosses 0 or 1.  The loop goes from crossing to crossing, so its
+cost follows the crossings, not the t_end/dt steps.
 """
 
 from __future__ import annotations
@@ -177,17 +177,18 @@ def float_oracle(tau: Rat, dt: float = 1e-6, t_end: float = 20.0) -> list[tuple[
     crosses 0 or 1 the slope is toggled at the interpolated crossing instant
     inside that step, which keeps discretization error far inside tolerance.
 
-    Steps go in chunks of at most one delay, so a chunk's delayed samples
-    read earlier chunks only.  Between crossings the increment inc is
-    constant, so a run of steps is kept as its first step, the position
-    x_first there and inc, and its position at step n is x_first +
-    (n - first)*inc: one float product and one sum, monotone in n because
-    both round monotonically.  The delayed sample is then monotone wherever
-    both of its reads lie in one run.  Such a stretch changes sign against
-    0 or 1 at most once, at a first step that bisection finds; only the
-    samples whose reads straddle a run start are compared one by one.  So
-    the lookups follow the chunks and crossings, not the t_end/dt steps, and
-    the oracle keeps two floats per crossing.
+    Between crossings the increment inc is constant, so a run of steps is
+    kept as its first step, the position x_first there and inc, and its
+    position at step n is x_first + (n - first)*inc: one float product and
+    one sum, monotone in n because both round monotonically.  The delayed
+    sample is then monotone wherever both of its reads lie in one run.  The
+    loop goes from crossing to crossing: from the first untested step it
+    takes the stretch of samples that read one run, and bisection finds the
+    first step at which that stretch changes sign against 0 or 1; a sample
+    whose reads straddle a run start is compared on its own.  A sample reads
+    only steps before its own, so the samples up to the first crossing do
+    not depend on it.  The cost follows the crossings, not the t_end/dt
+    steps, and the oracle keeps two floats per crossing.
 
     Refuses delays within 1000*dt of a critical value, inside the window or
     outside it (see :func:`analysis.distance_to_critical`): floating point
@@ -209,15 +210,17 @@ def float_oracle(tau: Rat, dt: float = 1e-6, t_end: float = 20.0) -> list[tuple[
             "the float oracle cannot resolve criticality"
         )
 
+    what = f"tau/dt for tau = {rat_format(tau)}"
     try:
         tau_f = float(tau)
         delay = tau_f / dt
         d_int = int(delay)
+        what = f"t_end/dt = {t_end!r}/{dt!r}"
+        n_steps = int(round(t_end / dt))
     except OverflowError:
-        raise OracleRefusal(f"tau/dt for tau = {rat_format(tau)} is past the float range") from None
-    n_steps = int(round(t_end / dt))
+        raise OracleRefusal(f"{what} is past the float range") from None
     d_frac = delay - d_int
-    if d_int < 1:  # a chunk spans d_int steps, so the loop below would never advance
+    if d_int < 1:  # sample m would read step m, which is not yet known
         raise OracleRefusal(f"tau = {rat_format(tau)} is shorter than one step of dt = {dt!r}")
     # Runs by first step: (position at the first step, increment).  A run
     # starts at each crossing; the first is the history, x = t, which goes on
@@ -237,50 +240,39 @@ def float_oracle(tau: Rat, dt: float = 1e-6, t_end: float = 20.0) -> list[tuple[
         gap = sample(m) - bound
         return (gap > 0.0) - (gap < 0.0)
 
-    def crossing(m: int, bound: float) -> float | None:
-        """The fraction of step m at which the delayed sample crosses bound."""
-        left, right = sample(m - 1) - bound, sample(m) - bound
-        if left * right < 0.0 or (right == 0.0 and left != 0.0):
-            return 1.0 if right == 0.0 else left / (left - right)
-        return None
-
     slope = 1.0
     turning: list[tuple[float, float]] = []
-    filled = 0
-    while filled < n_steps:
-        lo, hi = filled + 1, filled + min(d_int, n_steps - filled)
-        # The samples of steps lo-1..hi read steps up to ``filled``.  Sample
-        # a + d_int reads both sides of a run start a; the samples between two
-        # such cuts read one run, are monotone and are bisected.
-        i, j = bisect.bisect_left(starts, lo - 1 - d_int), bisect.bisect_right(starts, hi - d_int)
-        cuts = [a + d_int for a in starts[i:j]]
-        straddling = {c + i for c in cuts for i in (0, 1)}  # steps whose pair holds a cut
-        candidates = [(m, bound) for m in straddling if lo <= m <= hi for bound in (0.0, 1.0)]
-        edges = [lo - 2, *cuts, hi + 1]
-        for u, v in zip(edges, edges[1:]):
-            for bound in (0.0, 1.0):
-                a, b = u + 1, v - 1
-                sign = side(a, bound) if a < b else 0
-                if sign and side(b, bound) != sign:  # the first step off sign, in a..b
-                    while b - a > 1:
-                        mid = (a + b) // 2
-                        a, b = (mid, b) if side(mid, bound) == sign else (a, mid)
-                    candidates.append((b, bound))
-        crossings = []
-        for m, bound in candidates:
-            frac = crossing(m, bound)
-            if frac is not None:
-                crossings.append((m, frac))
-        for n, frac in sorted(crossings):
-            # a delayed sample moves at most dt per step, so a step holds at
-            # most one crossing: step n goes frac of a step one way, the rest back
-            x = position(n - 1)
-            turning.append(((n - 1 + frac) * dt, x + slope * frac * dt))
-            x += (slope * frac - slope * (1.0 - frac)) * dt
-            slope = -slope
-            starts.append(n)
-            runs.append((x, slope * dt))
-        filled = hi
+    m = 1  # the first step whose pair of samples (m - 1, m) is untested
+    while m <= n_steps:
+        # Samples m-1..last read one run, the one before starts[i], so they
+        # are monotone; a pair that reads both sides of it gets last = m.
+        i = bisect.bisect_right(starts, m - 2 - d_int)
+        last = n_steps if i == len(starts) else max(m, min(n_steps, starts[i] + d_int - 1))
+        n, crossed = last + 1, None  # the first crossing in m..last, if any
+        for bound in (0.0, 1.0):
+            sign = side(m - 1, bound)
+            if sign and side(last, bound) != sign:  # the first step off sign, in m..last
+                a, b = m - 1, last
+                while b - a > 1:
+                    mid = (a + b) // 2
+                    a, b = (mid, b) if side(mid, bound) == sign else (a, mid)
+                if b < n:
+                    n, crossed = b, bound
+        if crossed is None:
+            m = n
+            continue
+        # samples up to step n read steps before n, so the crossing at n
+        # leaves them as they are; a delayed sample moves at most dt per step,
+        # so step n holds one crossing: frac of a step one way, the rest back
+        left, right = sample(n - 1) - crossed, sample(n) - crossed
+        frac = 1.0 if right == 0.0 else left / (left - right)
+        x = position(n - 1)
+        turning.append(((n - 1 + frac) * dt, x + slope * frac * dt))
+        x += (slope * frac - slope * (1.0 - frac)) * dt
+        slope = -slope
+        starts.append(n)
+        runs.append((x, slope * dt))
+        m = n + 1
     return turning
 
 

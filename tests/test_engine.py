@@ -366,7 +366,7 @@ def test_delay_exactness_and_slope_parity():
                 assert (b.x - a.x) / (b.t - a.t) == (-1) ** switches
 
 
-def test_snapshot_offsets_invariant():
+def test_pending_offsets_lie_in_0_tau_and_increase():
     for tau in sample_taus():
         points = simulate_switches(tau, 80).turning_points
         for _, _, offsets in post_switch_states(points, tau):

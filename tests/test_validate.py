@@ -1,3 +1,4 @@
+import bisect
 import json
 import math
 import os
@@ -6,13 +7,14 @@ import sys
 import tracemalloc
 from fractions import Fraction as F
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from delayswitch import engine
+from delayswitch import engine, validate
 from delayswitch.analysis import CriticalKind, critical_value, distance_to_critical, horizon_J
 from delayswitch.render import render_trajectory
 from delayswitch.validate import (
@@ -211,7 +213,7 @@ def test_bare_tau_closed_form_check_runs_only_the_horizon(monkeypatch):
         assert asked and max(asked) <= horizon_J(tau), tau
 
 
-def test_check_closed_form_horizon_beyond_j_200():
+def test_check_closed_form_horizon_at_k_99_and_130():
     # J is 2k+1 at tau_k and 2k+3 elsewhere in [tau_k, tau_{k+1})
     for k in (99, 130):
         tau_k = critical_value(CriticalKind.TAU, k)
@@ -257,6 +259,9 @@ def test_float_oracle_refuses_delays_past_the_float_range():
     for tau in (F(10**400), F(10**307)):
         with pytest.raises(OracleRefusal, match="past the float range"):
             float_oracle(tau)
+    # a delay of 1.451e300 steps has a float, but 10^310 steps to t_end do not
+    with pytest.raises(OracleRefusal, match=r"t_end/dt = .* is past the float range"):
+        float_oracle(F(1451, 1000), dt=1e-300, t_end=1e10)
 
 
 def test_float_oracle_rejects_bad_dt():
@@ -375,8 +380,9 @@ def test_float_oracle_matches_whole_history_version_on_random_delays(tau, dt, t_
     delays=st.floats(0.5, 60),
 )
 def test_float_oracle_matches_whole_history_version_on_short_delays(steps, dt, delays):
-    # chunks of a few hundred steps at most, with crossings every delay or
-    # so: they fall at chunk edges and right after the start of a run
+    # delays of a few hundred steps at most, with crossings every delay or
+    # so: they fall at the reference's chunk edges and right after the start
+    # of a run, where a pair of samples reads both sides of it
     tau = steps * F(dt)
     t_end = delays * float(tau)
     assume(tau / dt >= 1 and int(float(tau) / dt) >= 1)
@@ -404,6 +410,26 @@ def test_float_oracle_turns_within_ten_steps_of_the_engine(tau, t_end):
     assert below <= len(approx) <= above
     for (t, x), (t_exact, x_exact) in zip(approx, exact):
         assert abs(t - t_exact) <= 10 * dt and abs(x - x_exact) <= 10 * dt, (t_exact, x_exact)
+
+
+def test_float_oracle_cost_follows_the_crossings(monkeypatch):
+    # the oracle's calls into bisect: one per position lookup, plus one per
+    # stretch of samples that read one run
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return bisect.bisect_right(*args)
+
+    monkeypatch.setattr(validate, "bisect", SimpleNamespace(bisect_right=counted))
+    # 5/2 diverges after two turns: 10^11 steps, 40,000 delays, 279 lookups
+    assert len(float_oracle(F(5, 2), t_end=1e5)) == 2
+    assert len(calls) < 1000
+    # a periodic delay: a bisection of about log2(1.45e6) steps per crossing
+    calls.clear()
+    turning = float_oracle(F(1451, 1000), t_end=200.0)
+    assert len(turning) > 100
+    assert len(calls) <= 150 * len(turning)
 
 
 def test_float_oracle_memory_does_not_grow_with_t_end():
