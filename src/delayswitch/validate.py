@@ -17,9 +17,10 @@ The float oracle steps in plain floats, with no array library.  The
 solutions have slope +-1, so between two crossings its position at step n
 is x_first + (n - first)*inc.  Float multiplication and addition round
 monotonically, so its delayed sample is monotone wherever both of its reads
-lie in one such run: bisection finds the single step at which such a
-stretch crosses 0 or 1.  The loop goes from crossing to crossing, so its
-cost follows the crossings, not the t_end/dt steps.
+lie in one such run.  Each such stretch is tested by its two end samples
+against the bound nearest its first in its direction of travel, and one
+bisection finds the step that crosses it.  The loop goes from crossing to
+crossing, so its cost follows the crossings, not the t_end/dt steps.
 """
 
 from __future__ import annotations
@@ -59,15 +60,6 @@ class ClosedFormCheck(NamedTuple):
     simulated_horizon: int | None
     agree: bool
     mismatches: tuple[str, ...]
-
-
-def _simulated_behavior(outcome: engine.Outcome) -> tuple[str, int | None]:
-    label = engine.behavior_label(outcome)
-    if isinstance(outcome, engine.Periodic):
-        return label, outcome.switchings_per_period
-    if isinstance(outcome, engine.Divergent):
-        return label, outcome.total_switchings
-    return label, None
 
 
 def _outcome_of(tau: Rat, outcome: engine.Outcome | None) -> engine.Outcome:
@@ -114,9 +106,14 @@ def check_theorem(tau: Rat, outcome: engine.Outcome | None = None) -> TheoremChe
     if prediction.regime.kind is RegimeKind.OUT_OF_RANGE:
         raise ValueError("check_theorem requires tau in [4/3, 3/2)")
     outcome = _outcome_of(tau, outcome)
-    behavior, switches = _simulated_behavior(outcome)
+    behavior = engine.behavior_label(outcome)
+    switches: int | None = None  # an Undetermined run counts none
     certificate_ok: bool | None = None
-    if isinstance(outcome, engine.Undetermined):
+    if isinstance(outcome, engine.Periodic):
+        switches = outcome.switchings_per_period
+    elif isinstance(outcome, engine.Divergent):
+        switches = outcome.total_switchings
+    if switches is None:
         agree, reason = False, "horizon"
     elif behavior != prediction.behavior.value:
         agree, reason = False, "behavior"
@@ -183,12 +180,14 @@ def float_oracle(tau: Rat, dt: float = 1e-6, t_end: float = 20.0) -> list[tuple[
     one sum, monotone in n because both round monotonically.  The delayed
     sample is then monotone wherever both of its reads lie in one run.  The
     loop goes from crossing to crossing: from the first untested step it
-    takes the stretch of samples that read one run, and bisection finds the
-    first step at which that stretch changes sign against 0 or 1; a sample
-    whose reads straddle a run start is compared on its own.  A sample reads
-    only steps before its own, so the samples up to the first crossing do
-    not depend on it.  The cost follows the crossings, not the t_end/dt
-    steps, and the oracle keeps two floats per crossing.
+    takes the stretch of samples that read one run (a sample whose reads
+    straddle a run start alone).  A sample moves about dt per step, so the
+    first bound the stretch meets is the one nearest its first sample in its
+    direction of travel: if its last sample reaches it, one bisection finds
+    the crossing step.  A sample reads only steps before its own, so the
+    samples up to the first crossing do not depend on it.  The cost follows
+    the crossings, not the t_end/dt steps, and the oracle keeps two floats
+    per crossing.
 
     Refuses delays within 1000*dt of a critical value, inside the window or
     outside it (see :func:`analysis.distance_to_critical`): floating point
@@ -236,10 +235,6 @@ def float_oracle(tau: Rat, dt: float = 1e-6, t_end: float = 20.0) -> list[tuple[
         """The delayed position at step m."""
         return (1.0 - d_frac) * position(m - d_int) + d_frac * position(m - 1 - d_int)
 
-    def side(m: int, bound: float) -> int:
-        gap = sample(m) - bound
-        return (gap > 0.0) - (gap < 0.0)
-
     slope = 1.0
     turning: list[tuple[float, float]] = []
     m = 1  # the first step whose pair of samples (m - 1, m) is untested
@@ -248,23 +243,24 @@ def float_oracle(tau: Rat, dt: float = 1e-6, t_end: float = 20.0) -> list[tuple[
         # are monotone; a pair that reads both sides of it gets last = m.
         i = bisect.bisect_right(starts, m - 2 - d_int)
         last = n_steps if i == len(starts) else max(m, min(n_steps, starts[i] + d_int - 1))
-        n, crossed = last + 1, None  # the first crossing in m..last, if any
-        for bound in (0.0, 1.0):
-            sign = side(m - 1, bound)
-            if sign and side(last, bound) != sign:  # the first step off sign, in m..last
-                a, b = m - 1, last
-                while b - a > 1:
-                    mid = (a + b) // 2
-                    a, b = (mid, b) if side(mid, bound) == sign else (a, mid)
-                if b < n:
-                    n, crossed = b, bound
-        if crossed is None:
-            m = n
+        lo, hi = sample(m - 1), sample(last)
+        rising = lo < hi  # the bound nearest lo in this direction is met first
+        if rising:
+            bound = 0.0 if lo < 0.0 <= hi else 1.0 if lo < 1.0 <= hi else None
+        else:
+            bound = 1.0 if hi <= 1.0 < lo else 0.0 if hi <= 0.0 < lo else None
+        if bound is None:
+            m = last + 1
             continue
+        a, n = m - 1, last  # n: the first step off lo's strict side, in m..last
+        while n - a > 1:
+            mid = (a + n) // 2
+            s = sample(mid)
+            a, n = (mid, n) if (s < bound if rising else s > bound) else (a, mid)
         # samples up to step n read steps before n, so the crossing at n
         # leaves them as they are; a delayed sample moves at most dt per step,
         # so step n holds one crossing: frac of a step one way, the rest back
-        left, right = sample(n - 1) - crossed, sample(n) - crossed
+        left, right = sample(n - 1) - bound, sample(n) - bound
         frac = 1.0 if right == 0.0 else left / (left - right)
         x = position(n - 1)
         turning.append(((n - 1 + frac) * dt, x + slope * frac * dt))

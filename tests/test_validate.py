@@ -354,7 +354,9 @@ def _whole_history_oracle(tau_f, dt, t_end):
     [(F(1449, 1000), 1e-6, 3.0), (F(13, 10), 1e-6, 3.0), (F(1, 2), 1e-6, 3.0),
      (F(3, 100), 1e-6, 3.0), (F(5, 2), 1e-6, 3.0), (F(27, 20), 2.5e-7, 3.0),
      # turns close to a bound, so the delayed sample crosses it next to a run start
-     (F(2003, 1500), 1e-6, 5.0)],
+     (F(2003, 1500), 1e-6, 5.0),
+     # a falling stretch of samples that passes 1 and then 0
+     (F(27, 20), 1e-6, 6.0)],
 )
 def test_float_oracle_matches_whole_history_version(tau, dt, t_end):
     # the same floats, bit for bit, as the brute-force stepper gives
@@ -413,8 +415,9 @@ def test_float_oracle_turns_within_ten_steps_of_the_engine(tau, t_end):
 
 
 def test_float_oracle_cost_follows_the_crossings(monkeypatch):
-    # the oracle's calls into bisect: one per position lookup, plus one per
-    # stretch of samples that read one run
+    # the oracle's calls into bisect: one per stretch of samples that read
+    # one run and one per position lookup, two per sample; a stretch reads
+    # its two end samples and one per bisection step
     calls = []
 
     def counted(*args):
@@ -422,14 +425,15 @@ def test_float_oracle_cost_follows_the_crossings(monkeypatch):
         return bisect.bisect_right(*args)
 
     monkeypatch.setattr(validate, "bisect", SimpleNamespace(bisect_right=counted))
-    # 5/2 diverges after two turns: 10^11 steps, 40,000 delays, 279 lookups
+    # 5/2 diverges after two turns: 10^11 steps, 40,000 delays, 173 calls
     assert len(float_oracle(F(5, 2), t_end=1e5)) == 2
-    assert len(calls) < 1000
-    # a periodic delay: a bisection of about log2(1.45e6) steps per crossing
+    assert len(calls) < 250
+    # a periodic delay: a bisection of about log2(1.45e6) steps per crossing,
+    # 69 calls per turning point
     calls.clear()
     turning = float_oracle(F(1451, 1000), t_end=200.0)
     assert len(turning) > 100
-    assert len(calls) <= 150 * len(turning)
+    assert len(calls) <= 80 * len(turning)
 
 
 def test_float_oracle_memory_does_not_grow_with_t_end():
