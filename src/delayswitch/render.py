@@ -7,7 +7,9 @@ can be labeled.  Divergent traces get a final ray drawn out to the plot edge
 with an arrow marker.  Output is plain SVG 1.1 text built from line, polyline,
 text and marker elements; coordinates are converted to decimal for layout
 only and formatted with fixed precision, so identical inputs produce
-byte-identical files.
+byte-identical files.  A path's positions are formatted once per level: a
+periodic path of any length visits only the few turning values of its
+period and the levels 0 and 1.
 """
 
 from __future__ import annotations
@@ -33,15 +35,16 @@ def _text(x: float, y: float, body: str, size: int = 12) -> str:
     return f'<text x="{x:.2f}" y="{y:.2f}" font-family="monospace" font-size="{size}">{body}</text>'
 
 
-def _projection(ts: list[float], xs: list[float], width: int, height: int):
-    """Affine map from data (t, x) to pixels, fitted to the vertex columns
-    ``ts``, ``xs`` plus the guide levels 0 and 1.  Returns ``to_px`` and the
-    ranges and scales it applies, ``(t0, t1, x0, x1, sx, sy)``: a point maps
-    to ``_PAD + (t - t0) * sx, height - _PAD - (x - x0) * sy``.  A scale
-    past the float range, as from a huge size over a short span, raises
+def _projection(ts: list[float], levels, width: int, height: int):
+    """Affine map from data (t, x) to pixels, fitted to the vertex times
+    ``ts``, in time order, and the positions ``levels`` (any collection of
+    them) plus the guide levels 0 and 1.  Returns ``to_px`` and the ranges
+    and scales it applies, ``(t0, t1, x0, x1, sx, sy)``: a point maps to
+    ``_PAD + (t - t0) * sx, height - _PAD - (x - x0) * sy``.  A scale past
+    the float range, as from a huge size over a short span, raises
     ValueError."""
-    t0, t1 = min(ts), max(ts)
-    x0, x1 = min(min(xs), 0.0), max(max(xs), 1.0)
+    t0, t1 = ts[0], ts[-1]
+    x0, x1 = min(min(levels), 0.0), max(max(levels), 1.0)
     if t0 == t1:
         t1 = t0 + 1.0
     sx = (width - 2 * _PAD) / (t1 - t0)
@@ -98,8 +101,9 @@ def render_trajectory(
     ``label_indices`` selects 1-based turning-point indices to annotate.
     Raises ValueError on an empty trace, on a trajectory past the float
     range, on a width or height of at most twice the margin, past the float
-    range or scaling the trajectory past it, on a label index outside the turning points, and on a
-    title holding a character XML 1.0 cannot carry, such as U+0001.
+    range or scaling the trajectory past it, on a label index outside the
+    turning points, and on a title holding a character XML 1.0 cannot
+    carry, such as U+0001.
     """
     if min(width, height) <= 2 * _PAD:
         raise ValueError(f"width and height must exceed {2 * _PAD:.0f} px")
@@ -115,7 +119,8 @@ def render_trajectory(
         if not 1 <= j <= len(turning):
             raise ValueError(f"label index {j} is outside 1..{len(turning)}")
     ts, xs = _vertices(outcome)
-    to_px, (t0, t1, x0, x1, sx, sy) = _projection(ts, xs, width, height)
+    levels = set(xs)
+    to_px, (t0, t1, x0, x1, sx, sy) = _projection(ts, levels, width, height)
     divergent = isinstance(outcome, Divergent)
     lines: list[str] = []
     lines.append('<?xml version="1.0" encoding="UTF-8"?>')
@@ -144,12 +149,15 @@ def render_trajectory(
     top_x, top_y = to_px(t0, x1)
     lines.append(_text(top_x - 16.0, top_y - 6.0, "x"))
     marker = ' marker-end="url(#ray-arrow)"' if divergent else ""
-    # to_px inlined over the columns, in its order of operations
+    # to_px inlined over the columns, in its order of operations, with each
+    # level's y formatted once.  The dict merges 0.0 and -0.0, which give the
+    # same y; no vertex is NaN, as the rows are ints.
+    bottom = height - _PAD
+    y_text = {x: "%.2f" % (bottom - (x - x0) * sy) for x in levels}
     coords = [0.0] * (2 * len(ts))
     coords[0::2] = [_PAD + (t - t0) * sx for t in ts]
-    bottom = height - _PAD
-    coords[1::2] = [bottom - (x - x0) * sy for x in xs]
-    path = ("%.2f,%.2f " * len(ts) % tuple(coords))[:-1]
+    coords[1::2] = map(y_text.__getitem__, xs)
+    path = ("%.2f,%s " * len(ts) % tuple(coords))[:-1]
     lines.append(
         f'<polyline class="trajectory" points="{path}" '
         f'fill="none" stroke="#000000" stroke-width="1.5"{marker}/>'

@@ -253,14 +253,17 @@ def float_oracle(tau: Rat, dt: float = 1e-6, t_end: float = 20.0) -> list[tuple[
             m = last + 1
             continue
         a, n = m - 1, last  # n: the first step off lo's strict side, in m..last
-        while n - a > 1:
+        while n - a > 1:  # lo, hi: the samples at a and n
             mid = (a + n) // 2
             s = sample(mid)
-            a, n = (mid, n) if (s < bound if rising else s > bound) else (a, mid)
+            if s < bound if rising else s > bound:
+                a, lo = mid, s
+            else:
+                n, hi = mid, s
         # samples up to step n read steps before n, so the crossing at n
         # leaves them as they are; a delayed sample moves at most dt per step,
         # so step n holds one crossing: frac of a step one way, the rest back
-        left, right = sample(n - 1) - bound, sample(n) - bound
+        left, right = lo - bound, hi - bound
         frac = 1.0 if right == 0.0 else left / (left - right)
         x = position(n - 1)
         turning.append(((n - 1 + frac) * dt, x + slope * frac * dt))

@@ -213,6 +213,7 @@ def test_criterion_10_render_determinism_and_vertices():
         start = first.index(marker) + len(marker)
         path = first[start : first.index('"', start)]
         vertex_set = set(path.split())
-        to_px, _ = render._projection(*render._vertices(outcome), 900, 380)
+        ts, xs = render._vertices(outcome)
+        to_px, _ = render._projection(ts, set(xs), 900, 380)
         for point in outcome.turning_points:
             assert "%.2f,%.2f" % to_px(float(point.beta), float(point.alpha)) in vertex_set

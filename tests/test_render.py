@@ -4,6 +4,8 @@ import xml.etree.ElementTree as ET
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from delayswitch import analysis, engine
 from delayswitch.engine import SimTrace
@@ -11,16 +13,20 @@ from delayswitch.render import _projection, _vertices, render_trajectory
 
 
 def polyline_points(svg: str) -> list[str]:
+    return polyline_attribute(svg).split()
+
+
+def polyline_attribute(svg: str) -> str:
     m = re.search(r'<polyline class="trajectory" points="([^"]*)"', svg)
     assert m, "trajectory polyline missing"
-    return m.group(1).split()
+    return m.group(1)
 
 
 def test_single_segment_trace():
     trace = SimTrace(F(1), ((0, 0, "hit"), (1, 1, "hit")))
     svg = render_trajectory(engine.Undetermined(0, trace), width=300, height=200)
     pts = polyline_points(svg)
-    to_px, _ = _projection([0.0, 1.0], [0.0, 1.0], 300, 200)
+    to_px, _ = _projection([0.0, 1.0], {0.0, 1.0}, 300, 200)
     assert pts == ["%.2f,%.2f" % to_px(0.0, 0.0), "%.2f,%.2f" % to_px(1.0, 1.0)]
 
 
@@ -63,7 +69,7 @@ def test_turning_points_are_vertices():
     svg = render_trajectory(outcome)
     pts = set(polyline_points(svg))
     ts, xs = _vertices(outcome)
-    to_px, _ = _projection(ts, xs, 900, 380)
+    to_px, _ = _projection(ts, set(xs), 900, 380)
     for point in outcome.turning_points:
         assert "%.2f,%.2f" % to_px(float(point.beta), float(point.alpha)) in pts
 
@@ -125,10 +131,42 @@ def _replay(tau, switches):
     return engine.Undetermined(len(trace.turning_points), trace)
 
 
+# delays below, inside and above the window [4/3, 3/2), periodic and divergent,
+# run to their outcome, cut short, or replayed for a few switches
+@st.composite
+def outcomes(draw):
+    tau = draw(
+        st.one_of(
+            st.fractions(F(4, 3), F(3, 2), max_denominator=10**7),
+            st.fractions(F(1, 5), F(5), max_denominator=10**6),
+        )
+    )
+    switches = draw(st.integers(min_value=1, max_value=200))
+    how = draw(st.sampled_from(["run", "cut", "replay"]))
+    if how == "replay":
+        return _replay(tau, switches)
+    return engine.run(tau, switches if how == "cut" else None)
+
+
+@settings(max_examples=150, deadline=None)
+@given(outcomes(), st.integers(97, 4000), st.integers(97, 4000))
+def test_path_matches_a_per_vertex_projection(outcome, width, height):
+    # the path formats each level once; each vertex must read as to_px
+    # formats it alone, and the vertex times must come in order, since the
+    # projection reads the time range off the ends of the column
+    ts, xs = _vertices(outcome)
+    assert ts == sorted(ts)
+    to_px, _ = _projection(ts, xs, width, height)
+    expected = " ".join("%.2f,%.2f" % to_px(t, x) for t, x in zip(ts, xs))
+    svg = render_trajectory(outcome, width=width, height=height)
+    assert polyline_attribute(svg) == expected
+
+
 # sha256 of renders far longer than the golden files, whose paths hold at
 # most 23 vertices: a 2,000-switch replay of a delay with a 7-digit
-# denominator (4,000 vertices), a divergent ray with labels, and tau_20,
-# whose hit and switch rows coincide at a denominator of about 7e11
+# denominator (4,000 vertices), a divergent ray with labels, tau_20, whose
+# hit and switch rows coincide at a denominator of about 7e11, and a
+# 20,000-switch replay (40,000 vertices)
 @pytest.mark.parametrize(
     "outcome, kwargs, digest",
     [
@@ -149,6 +187,13 @@ def _replay(tau, switches):
             {},
             "23eb13a89f974b2ce48318ede945361abd4089c3f878f8c852552e3a98fe8107",
             id="tau_20",
+        ),
+        # a benchmark-sized replay: 40,000 vertices on 6 levels
+        pytest.param(
+            lambda: _replay(F(11699476, 9778863), 20000),
+            {"title": "tau = 11699476/9778863"},
+            "6aa3bce461ef7e40055a73a6e0dfc064d2e73fec2901c014490979d1f0a4016b",
+            id="replay-20000",
         ),
     ],
 )

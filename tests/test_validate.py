@@ -417,7 +417,8 @@ def test_float_oracle_turns_within_ten_steps_of_the_engine(tau, t_end):
 def test_float_oracle_cost_follows_the_crossings(monkeypatch):
     # the oracle's calls into bisect: one per stretch of samples that read
     # one run and one per position lookup, two per sample; a stretch reads
-    # its two end samples and one per bisection step
+    # its two end samples and one per bisection step, and the crossing step
+    # reuses the two samples the bisection ends on
     calls = []
 
     def counted(*args):
@@ -425,15 +426,15 @@ def test_float_oracle_cost_follows_the_crossings(monkeypatch):
         return bisect.bisect_right(*args)
 
     monkeypatch.setattr(validate, "bisect", SimpleNamespace(bisect_right=counted))
-    # 5/2 diverges after two turns: 10^11 steps, 40,000 delays, 173 calls
+    # 5/2 diverges after two turns: 10^11 steps, 40,000 delays, 165 calls
     assert len(float_oracle(F(5, 2), t_end=1e5)) == 2
-    assert len(calls) < 250
+    assert len(calls) < 170
     # a periodic delay: a bisection of about log2(1.45e6) steps per crossing,
-    # 69 calls per turning point
+    # 65.4 calls per turning point
     calls.clear()
     turning = float_oracle(F(1451, 1000), t_end=200.0)
     assert len(turning) > 100
-    assert len(calls) <= 80 * len(turning)
+    assert len(calls) <= 66 * len(turning)
 
 
 def test_float_oracle_memory_does_not_grow_with_t_end():
