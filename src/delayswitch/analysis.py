@@ -77,30 +77,22 @@ def critical_value(kind: CriticalKind, k: int) -> Rat:
     return Fraction(3 * (2 * p - 1), 4 * p - 1)
 
 
+def _sup_bits(tau: Fraction) -> int:
+    """L, the bit length of a // |2a - 3b| for tau = a/b != 3/2, which places
+    tau among the sequences that pile up at 3/2 by powers of 4.  Below 3/2,
+    tau_k <= a/b  <=>  4^k * (3b - 2a) <= a  <=>  4^k <= a // (3b - 2a), so
+    k = (L - 1) // 2; above it, a/b <= sigma_m  <=>  4^m * (4a - 6b) <= a
+    <=>  2 * 4^m <= a // (2a - 3b), so m = (L - 2) // 2."""
+    a, b = tau.numerator, tau.denominator
+    return (a // abs(2 * a - 3 * b)).bit_length()
+
+
 def window_k(tau: Rat) -> int | None:
     """The k with tau_k <= tau < tau_{k+1}, or None unless tau = a/b lies in
-    [4/3, 3/2), that is unless 4b <= 3a and 2a < 3b.
-
-    tau_k <= a/b  <=>  4^k * (3b - 2a) <= a  <=>  4^k <= a // (3b - 2a),
-    so k is the floor of log4 of that quotient, read off its bit length.
-    """
+    [4/3, 3/2), that is unless 4b <= 3a and 2a < 3b."""
     a, b = tau.numerator, tau.denominator
     if 4 * b <= 3 * a and 2 * a < 3 * b:
-        return ((a // (3 * b - 2 * a)).bit_length() - 1) // 2
-    return None
-
-
-def sigma_m(tau: Rat) -> int | None:
-    """The m with sigma_(m+1) < tau <= sigma_m, where sigma_m = 6*4^m /
-    (4^(m+1) - 1) (2, 8/5, 32/21, ... down to 3/2), or None unless tau = a/b
-    lies in (3/2, 2].
-
-    a/b <= sigma_m  <=>  4^m * (4a - 6b) <= a  <=>  4^m <= a // (4a - 6b),
-    so m is the floor of log4 of that quotient, read off its bit length.
-    """
-    a, b = tau.numerator, tau.denominator
-    if 3 * b < 2 * a <= 4 * b:
-        return ((a // (4 * a - 6 * b)).bit_length() - 1) // 2
+        return (_sup_bits(tau) - 1) // 2
     return None
 
 
@@ -120,15 +112,18 @@ def distance_to_critical(tau: Rat) -> Rat:
     program, not taken from the paper: at 1 the period goes from 2 to 4
     switchings, and above 3/2, where delays diverge to +oo, the delays
     sigma_m = 6*4^m / (4^(m+1) - 1) for m >= 0 (2, 8/5, 32/21, ... down
-    to 3/2) are periodic; :func:`sigma_m` finds the two around tau in O(1).
+    to 3/2) are periodic.  One bit length places tau among them in O(1).
     """
     tau = Fraction(tau)
-    if 2 * tau > 3:  # sigma_(m+1) < tau <= sigma_m, or above sigma_0 = 2
-        m = sigma_m(tau)
-        near = [Fraction(6 * 4**n, 4 ** (n + 1) - 1) for n in ((0,) if m is None else (m, m + 1))]
-    else:
-        k = window_k(tau)
-        near = critical_neighbours(k) if k is not None else (Fraction(1), TAU_LOW, SUP)
+    if 2 * tau == 3:
+        return tau - SUP
+    bits = _sup_bits(tau)
+    if 2 * tau > 3:  # sigma_(m+1) < tau <= sigma_m; m = -1 above sigma_0 = 2
+        m = (bits - 2) // 2
+        near = [Fraction(6 * 4**n, 4 ** (n + 1) - 1) for n in (m, m + 1) if n >= 0]
+    else:  # k >= 1 exactly from tau_1 = 4/3 on
+        k = (bits - 1) // 2
+        near = critical_neighbours(k) if k >= 1 else (Fraction(1), TAU_LOW)
     return min(abs(c - tau) for c in near)
 
 

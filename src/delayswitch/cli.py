@@ -1,8 +1,10 @@
 """Command-line interface: classify, simulate, critical, sweep, verify, render.
 
-Rational inputs and outputs use the exact "p/q" text form everywhere; JSON
-output pairs every exact field with a 12-digit decimal companion for human
-consumption (machine consumers must use the exact field).  Output files are
+Rational inputs and outputs use the exact "p/q" text form everywhere.  The
+JSON of ``classify`` and ``simulate`` pairs each exact field with a 12-digit
+decimal companion for humans (machines must read the exact field);
+``critical`` names its pair ``exact`` and ``decimal``, and ``sweep`` entries
+and the ``--trace`` file's tau and events are exact alone.  Output files are
 written atomically.  Exit codes: 0 success, 1 disagreement (sweep/verify),
 2 usage or domain error, 3 undetermined simulation, 4 I/O failure writing an
 output file, 141 a closed stdout (128 + SIGPIPE, as a shell reports a writer
@@ -131,22 +133,18 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _interleaving_ok(k: int) -> bool:
-    tau_k, theta_k, zeta_k, tau_next = analysis.critical_neighbours(k)
-    return tau_k < theta_k < zeta_k < tau_next < analysis.SUP
-
-
 def _critical_rows(args):
-    """The table's rows, one k at a time, so that each is printed as it comes."""
-    kind = analysis.CriticalKind(args.kind)
+    """The table's rows, one k at a time, so that each is printed as it comes.
+    A row reads k's four critical delays once, for its value and the order."""
     for k in range(args.k_from, args.k_to + 1):
-        value = analysis.critical_value(kind, k)
+        tau_k, theta_k, zeta_k, tau_next = analysis.critical_neighbours(k)
+        value = {"tau": tau_k, "theta": theta_k, "zeta": zeta_k}[args.kind]
         yield {
             "kind": args.kind,
             "k": k,
             "exact": rat_format(value),
             "decimal": rat_to_decimal(value, DECIMAL_DIGITS),
-            "interleaving_ok": _interleaving_ok(k),
+            "interleaving_ok": tau_k < theta_k < zeta_k < tau_next < analysis.SUP,
         }
 
 

@@ -240,7 +240,11 @@ def float_oracle(tau: Rat, dt: float = 1e-6, t_end: float = 20.0) -> list[tuple[
     m = 1  # the first step whose pair of samples (m - 1, m) is untested
     while m <= n_steps:
         # Samples m-1..last read one run, the one before starts[i], so they
-        # are monotone; a pair that reads both sides of it gets last = m.
+        # are monotone.  Sample starts[i] + d_int reads both sides of it;
+        # max(m, ...) moves m past it a pair at a time.  Put in a stretch, it
+        # changes a float only if a crossing and its return share a step, at
+        # a turn within a step of 0 or 1: below 1 turns lie +-tau, and
+        # elsewhere the 1000*dt refusal keeps them away.
         i = bisect.bisect_right(starts, m - 2 - d_int)
         last = n_steps if i == len(starts) else max(m, min(n_steps, starts[i] + d_int - 1))
         lo, hi = sample(m - 1), sample(last)

@@ -1,8 +1,9 @@
+import bisect
 import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from delayswitch.analysis import (
@@ -10,6 +11,7 @@ from delayswitch.analysis import (
     CriticalKind,
     Regime,
     RegimeKind,
+    _sup_bits,
     alpha_closed,
     beta_closed,
     beta_recurrence,
@@ -19,7 +21,6 @@ from delayswitch.analysis import (
     critical_value,
     distance_to_critical,
     horizon_J,
-    sigma_m,
     window_k,
 )
 from delayswitch.exact import rat_parse
@@ -339,6 +340,15 @@ def sigma(m: int) -> F:
     return F(6 * 4**m, 4 ** (m + 1) - 1)
 
 
+def sigma_m(tau: F) -> int | None:
+    """The m with sigma_(m+1) < tau <= sigma_m, read off `_sup_bits` as
+    distance_to_critical reads it above 3/2, or None where there is none."""
+    if 2 * tau <= 3:
+        return None
+    m = (_sup_bits(tau) - 2) // 2
+    return m if m >= 0 else None
+
+
 @given(delays_between_1_and_2())
 @example(F(2))
 @example(F(3, 2))
@@ -359,6 +369,43 @@ def test_sigma_m_fixed_cases():
     assert sigma_m(sigma(300) - F(1, 10**400)) == 300
     assert sigma_m(sigma(301) + F(1, 10**400)) == 300
     assert sigma_m(F(5, 2)) is None
+
+
+# every delay where behaviour changes that a drawn delay can lie nearest to:
+# 1, 3/2, the window's three sequences and sigma_m above 3/2, sorted once
+CRITICAL = sorted(
+    {F(1), F(3, 2)}
+    | {critical_value(kind, k) for kind in CriticalKind for k in range(1, 400)}
+    | {sigma(m) for m in range(400)}
+)
+
+
+@st.composite
+def delays_around_the_families(draw) -> F:
+    """p/q with p, q up to 10^40, or sigma_m +- 10^-200 for m <= 150."""
+    if draw(st.booleans()):
+        q = draw(st.integers(min_value=1, max_value=10**40))
+        return F(draw(st.integers(min_value=1, max_value=10**40)), q)
+    return sigma(draw(st.integers(min_value=0, max_value=150))) + draw(
+        st.sampled_from([F(-1, 10**200), F(1, 10**200)])
+    )
+
+
+@settings(deadline=None)
+@given(delays_around_the_families())
+@example(F(1))
+@example(F(4, 3))
+@example(F(3, 2))
+@example(F(2))
+@example(F(5, 2))
+@example(F(3))
+@example(F(1, 10**40))
+@example(critical_value(ZETA, 60) + F(1, 10**40))
+@example(sigma(300) - F(1, 10**400))
+def test_distance_to_critical_is_the_distance_to_the_nearest_listed_delay(tau):
+    i = bisect.bisect_left(CRITICAL, tau)
+    nearest = min(abs(c - tau) for c in CRITICAL[max(i - 1, 0) : i + 1])
+    assert distance_to_critical(tau) == nearest
 
 
 def test_critical_neighbours_are_the_four_critical_values():

@@ -22,6 +22,16 @@ def polyline_attribute(svg: str) -> str:
     return m.group(1)
 
 
+def test_single_vertex_trace_gets_a_unit_time_range():
+    trace = SimTrace(F(1), ((0, 0, "hit"),))
+    svg = render_trajectory(engine.Undetermined(0, trace), width=300, height=200)
+    to_px, (t0, t1, *_) = _projection([0.0], {0.0}, 300, 200)
+    assert (t0, t1) == (0.0, 1.0)
+    assert polyline_points(svg) == ["%.2f,%.2f" % to_px(0.0, 0.0)]
+    # the guide lines span the plot area, t = 0 to t = 1
+    assert '<line x1="48.00" y1="152.00" x2="252.00" y2="152.00"' in svg
+
+
 def test_single_segment_trace():
     trace = SimTrace(F(1), ((0, 0, "hit"), (1, 1, "hit")))
     svg = render_trajectory(engine.Undetermined(0, trace), width=300, height=200)

@@ -111,11 +111,11 @@ def test_checks_read_the_scaled_rows_without_building_views(monkeypatch):
             getattr(engine.run(F(16, 11)).trace, view)
 
 
-def _move_switch(trace, j):
-    """The trace with switch j's scaled position moved by one unit."""
+def _move_switch(trace, j, dt=0, dx=1):
+    """The trace with switch j's scaled row moved by (dt, dx) units."""
     rows = list(trace.rows)
     n = [i for i, row in enumerate(rows) if row[2] == "switch"][j - 1]
-    rows[n] = (rows[n][0], rows[n][1] + 1, "switch")
+    rows[n] = (rows[n][0] + dt, rows[n][1] + dx, "switch")
     return engine.SimTrace(trace.tau, tuple(rows))
 
 
@@ -129,6 +129,37 @@ def test_checks_catch_a_corrupted_trace():
     assert not periodicity_certificate(moved)
     corrupted = engine.Periodic(honest.least_period, m, i, _move_switch(honest.trace, 1))
     assert "alpha_1" in check_closed_form(tau, corrupted).mismatches
+
+
+def test_check_theorem_names_each_failed_agreement():
+    # 147/100 lies in (theta_2, zeta_2): periodic, 10 switchings per period
+    tau = F(147, 100)
+    honest = engine.run(tau)
+    assert honest.switchings_per_period == 10
+    cases = {
+        "switch_count": honest._replace(switchings_per_period=12),
+        "behavior": engine.Divergent(-1, 10, honest.trace),
+        "certificate": honest._replace(least_period=honest.least_period + 1),
+    }
+    for reason, outcome in cases.items():
+        record = check_theorem(tau, outcome)
+        assert (record.agree, record.reason) == (False, reason)
+        assert record.certificate_ok is (False if reason == "certificate" else None)
+
+
+def test_check_closed_form_names_each_mismatch():
+    tau = F(147, 100)
+    horizon = horizon_J(tau)
+    short = check_closed_form(tau, engine.run(tau, horizon - 1))
+    assert short.simulated_horizon is None
+    assert short.mismatches == (
+        f"trace has {horizon - 1} switchings, horizon is {horizon}",
+        f"simulated horizon None != {horizon}",
+    )
+    # switch 3 one unit (1/q) late: beta_3 differs, every alpha_j still holds
+    honest = engine.run(tau)
+    late = honest._replace(trace=_move_switch(honest.trace, 3, dt=1, dx=0))
+    assert check_closed_form(tau, late).mismatches == ("beta_3",)
 
 
 def test_checks_given_an_outcome_do_not_simulate(monkeypatch):
@@ -262,6 +293,14 @@ def test_float_oracle_refuses_delays_past_the_float_range():
     # a delay of 1.451e300 steps has a float, but 10^310 steps to t_end do not
     with pytest.raises(OracleRefusal, match=r"t_end/dt = .* is past the float range"):
         float_oracle(F(1451, 1000), dt=1e-300, t_end=1e10)
+
+
+def test_float_oracle_rejects_a_delay_that_is_not_positive():
+    # not an OracleRefusal: no float resolution could simulate tau = 0
+    for tau in (F(0), F(-1, 2)):
+        with pytest.raises(ValueError, match="tau must be positive") as raised:
+            float_oracle(tau)
+        assert raised.type is ValueError
 
 
 def test_float_oracle_rejects_bad_dt():
