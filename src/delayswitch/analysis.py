@@ -160,7 +160,8 @@ def beta_recurrence(j_max: int, tau: Rat) -> list[Rat]:
     """
     if j_max < 2:
         raise ValueError("j_max must be >= 2")
-    out = [Fraction(tau), tau + 1]
+    tau = Fraction(tau)
+    out = [tau, tau + 1]
     for _ in range(j_max - 2):
         out.append(-out[-1] + 2 * out[-2] + 2 * tau)
     return out

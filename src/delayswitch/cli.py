@@ -243,7 +243,9 @@ def _build_parser() -> argparse.ArgumentParser:
     delay = argparse.ArgumentParser(add_help=False)
     delay.add_argument("tau", help='delay as "p/q" or a finite decimal')
     limits = argparse.ArgumentParser(add_help=False)
-    limits.add_argument("--max-switches", type=_integer, default=None)
+    limits.add_argument(
+        "--max-switches", type=_integer, help="default 4n + 8, n = floor(log4(p // |2p - 3q|))"
+    )
 
     p = sub.add_parser("classify", parents=[delay], help="regime and prediction for a delay")
     p.set_defaults(func=_cmd_classify)

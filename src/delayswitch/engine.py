@@ -11,10 +11,10 @@ on plain integers scaled by q (boundaries 0 and q, delay p), which is exact
 without any gcd work.  A trace keeps those scaled rows; its ``Fraction``
 events and turning points are each built from them on first access, so
 checks that read the rows never pay for them.
-One limit bounds a run, its number of switches; ``run`` sizes it when the
-caller leaves it unset from p/q alone, by how many powers of 4 separate
-tau from 3/2, so every delay ends Periodic or Divergent unless the caller
-sets a tighter limit.
+One limit bounds a run, its number of switches.  Left unset it is 4n + 8,
+n = floor(log4(p // |2p - 3q|)) counting the powers of 4 between tau = p/q
+and 3/2, so every delay ends Periodic or Divergent unless the caller sets
+a tighter limit.
 
 The complete Markov state is (slope, position, pending switch offsets):
 exact recurrence of that state across two switch instants certifies
@@ -37,8 +37,6 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .exact import Rat
-
-DEFAULT_MAX_SWITCHES = 10_000
 
 
 class TurningPoint(NamedTuple):
@@ -131,21 +129,21 @@ def _simulate(tau: Rat, max_switches: int | None) -> Outcome:
     ends the run as Periodic.  ``seen`` maps (slope, X) to the entries
     (head, T, len(due)) of the states seen there, whose offsets are compared
     only when the pair repeats.  An empty queue with the ray pointing away
-    from both boundaries ends the run as Divergent; the switch limit, sized
+    from both boundaries ends the run as Divergent; the switch limit, 4n + 8
     as :func:`run` describes when left None, ends it as Undetermined.  Short
     of both, a switch lies ahead: one is pending, or the ray meets a boundary
     that schedules one.
     """
     if max_switches is not None and max_switches <= 0:
-        raise ValueError("limits must be positive")
+        raise ValueError("the switch limit must be positive")
     tau = Fraction(tau)
     if tau <= 0:
         raise ValueError("tau must be positive")
     p, q = tau.numerator, tau.denominator
-    if max_switches is None:  # n = floor(log4(p // |2p - 3q|)), 0 at 3/2
+    if max_switches is None:  # 4n + 8, n = floor(log4(p // d)): 0 at 3/2, -1 if p < d
         d = abs(2 * p - 3 * q)
         n = ((p // d).bit_length() - 1) // 2 if d else 0
-        max_switches = max(DEFAULT_MAX_SWITCHES, 4 * n + 8)
+        max_switches = 4 * n + 8
     t = x = head = 0
     slope = 1  # +1 exactly while the number of executed switches is even
     due = [p]  # every switch time scheduled, increasing; pending: due[head:]
@@ -184,17 +182,17 @@ def run(tau: Rat, max_switches: int | None = None) -> Outcome:
 
     After every switch the state is checked for exact recurrence (Periodic)
     and for divergence; reaching max_switches first yields Undetermined.
-    All arithmetic is exact.  A limit left None is max(10,000, 4n + 8)
-    switchings for tau = p/q, where n = floor(log4(p // |2p - 3q|)) counts
-    the powers of 4 between tau and 3/2 (n = 0 at 3/2).  For tau_k <= tau <
-    tau_{k+1} in [4/3, 3/2) n is k, and the paper's counts (at most 4k + 2
-    per period, 4k + 5 before divergence) leave room for the switchings
-    before the cycle.  For sigma_(m+1) < tau <= sigma_m above 3/2, with
-    sigma_m = 6*4^m / (4^(m+1) - 1), n is m or m + 1, and exact runs show
-    sigma_m closing its cycle at switch 4m + 7 and the delays between
-    diverging after 2m + 4.  Elsewhere n is at most 1.  The limit reads
-    only p and q, not the predicted outcome, so a wrong limit can leave a
-    run Undetermined but never decide it.
+    All arithmetic is exact.  A limit left None is 4n + 8 switchings for
+    tau = p/q, where n = floor(log4(p // |2p - 3q|)) counts the powers of 4
+    between tau and 3/2: 0 at 3/2, and -1 (a limit of 4) below 1 and above
+    3, where p // |2p - 3q| is 0.  For tau_k <= tau < tau_{k+1} n is k, and
+    the paper's counts (at most 4k + 2 per period, 4k + 5 before
+    divergence) leave room for the switchings before the cycle.  Above 3/2,
+    for sigma_(m+1) < tau <= sigma_m with sigma_m = 6*4^m / (4^(m+1) - 1),
+    n is m or m + 1.  Exact runs show sigma_m closing its cycle at switch
+    4m + 7, the delays between diverging after 2m + 4 and delays below 1
+    recurring at switch 3.  Elsewhere n is at most 1.  The limit reads only
+    p and q, so a wrong limit can leave a run Undetermined but never decide it.
     """
     return _simulate(tau, max_switches)
 

@@ -102,6 +102,7 @@ def check_theorem(tau: Rat, outcome: engine.Outcome | None = None) -> TheoremChe
     confirmed as well.  An Undetermined simulation, which only a caller's
     tighter limit leaves, is a disagreement with reason "horizon".
     """
+    tau = Fraction(tau)
     prediction = analysis.classify(tau)
     if prediction.regime.kind is RegimeKind.OUT_OF_RANGE:
         raise ValueError("check_theorem requires tau in [4/3, 3/2)")
@@ -153,12 +154,9 @@ def check_closed_form(tau: Rat, outcome: engine.Outcome | None = None) -> Closed
             mismatches.append(f"beta_{j}")
         if 3 * x != x_closed:
             mismatches.append(f"alpha_{j}")
-    simulated_horizon: int | None = None
-    for j, (_, x) in enumerate(points, start=1):
-        holds = x > q if j % 2 else x < q
-        if not holds:
-            simulated_horizon = j
-            break
+    # the first j at which alpha_j > 1 (odd j) or alpha_j < 1 (even j) fails
+    fails = (j for j, (_, x) in enumerate(points, start=1) if (x <= q if j % 2 else x >= q))
+    simulated_horizon = next(fails, None)
     if simulated_horizon != horizon:
         mismatches.append(f"simulated horizon {simulated_horizon} != {horizon}")
     return ClosedFormCheck(tau, horizon, simulated_horizon, not mismatches, tuple(mismatches))

@@ -96,6 +96,11 @@ def test_beta_seeds():
 def test_beta_recurrence_small():
     # beta_3 = -beta_2 + 2*beta_1 + 2*tau = 3*tau - 1 = 3 at tau = 4/3
     assert beta_recurrence(3, F(4, 3)) == [F(4, 3), F(7, 3), F(3)]
+    # a float or int delay is read as the Fraction it equals, once
+    for tau in (1.5, 2):
+        chain = beta_recurrence(4, tau)
+        assert [type(b) for b in chain] == [F] * 4, chain
+        assert chain == [beta_closed(j, tau) for j in range(1, 5)]
     with pytest.raises(ValueError):
         beta_recurrence(1, F(4, 3))
 

@@ -263,7 +263,7 @@ def test_every_simulating_command_takes_the_switch_limit_flag(argv, capsys):
     assert (code, err) == (0, "")
     # the value reaches the engine, which refuses a limit of zero
     code, out, err = run_cli(capsys, *argv, "--max-switches", "0")
-    assert (code, out, err) == (2, "", "delayswitch: limits must be positive\n")
+    assert (code, out, err) == (2, "", "delayswitch: the switch limit must be positive\n")
 
 
 def test_no_command_takes_a_time_limit(capsys):
@@ -327,8 +327,9 @@ class _LastLine(io.TextIOBase):
 
 
 def test_verify_and_simulate_answer_past_the_fixed_limits():
-    # tau_2600 closes its first cycle at switching 10,403, past 10,000, so
-    # the engine raises the switch limit no flag sets, for every command
+    # tau_2600 closes its first cycle at switching 10,403, within the limit
+    # the engine sizes when no flag sets one, 4 * 2600 + 8 = 10,408, for
+    # every command
     tau = rat_format(critical_value(CriticalKind.TAU, 2600))
     sink = _LastLine()
     with contextlib.redirect_stdout(sink):

@@ -260,7 +260,9 @@ def test_out_of_window_tau_runs_empirically():
 def test_sized_limit_covers_the_sigma_delays_above_the_window():
     # sigma_m = 6*4^m/(4^(m+1) - 1) closes its cycle at switch 4m + 7, and
     # the delays between sigma_(m+1) and sigma_m diverge after 2m + 4
-    # switchings; from m = 2,499 and 4,999 on these exceed 10,000
+    # switchings, within the limit a bare run sizes, 4n + 8 with n = m at
+    # sigma_m and m or m + 1 between; at m = 4,990 and 5,000 both run past
+    # 10,000
     tau = F(6 * 4**4990, 4**4991 - 1)
     out = run(tau)
     assert isinstance(out, Periodic)
@@ -313,9 +315,9 @@ def test_limits_give_undetermined():
 
 def test_simulate_switches_refuses_non_positive_limits_as_run_does():
     for limits in ((0,), (-3,)):
-        with pytest.raises(ValueError, match="limits must be positive"):
+        with pytest.raises(ValueError, match="the switch limit must be positive"):
             simulate_switches(F(89, 66), *limits)
-        with pytest.raises(ValueError, match="limits must be positive"):
+        with pytest.raises(ValueError, match="the switch limit must be positive"):
             run(F(89, 66), *limits)
 
 

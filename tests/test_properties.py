@@ -191,9 +191,8 @@ def window_delays_up_to_k_64(draw) -> F:
 @settings(max_examples=100, deadline=None)
 @given(window_delays_up_to_k_64())
 def test_window_runs_up_to_k_64_keep_the_fixed_limits(tau):
-    # the sized limit stays at 10,000 switchings below k = 2,499, so these
-    # runs (every one the benchmark makes) are the runs under the old fixed
-    # limit
+    # the limit a bare run sizes in window k, 4k + 8, decides each of these
+    # runs (every one the benchmark makes) as a limit of 10,000 does
     assert run(tau) == run(tau, 10_000)
 
 
@@ -220,9 +219,9 @@ def delays_across_magnitudes(draw) -> F:
 @given(st.one_of(window_delays(), delays_above_the_window(), delays_across_magnitudes()))
 @example(F(10**4))
 @example(F(10**5))
-# zeta_2499 and sigma_2499 are the first zeta and sigma delays whose runs
-# need more than 10,000 switchings (10,001 and 10,003), so the sized limit
-# alone decides them
+# zeta_2499 diverges after 4k + 5 = 10,001 switchings and sigma_2499 closes
+# its cycle at switch 4m + 7 = 10,003, both past 10,000 and within the sized
+# limit 4 * 2499 + 8 = 10,004
 @example(critical_value(CriticalKind.ZETA, 2499))
 @example(sigma(2499))
 @example(sigma(5100))  # closes its cycle at switch 20,407
@@ -231,8 +230,8 @@ def delays_across_magnitudes(draw) -> F:
 # for the repr of an example
 @example(F(3, 2) + F(3, 4**5102))
 def test_a_run_with_no_limit_set_always_ends(tau):
-    # the switch limit is the only cap, and a limit left unset is sized
-    # wherever the runs are known to need more than the default
+    # the switch limit is the only cap, and a limit left unset, 4n + 8,
+    # lets each of these runs decide
     assert not isinstance(run(tau), Undetermined)
 
 

@@ -36,6 +36,10 @@ def test_check_theorem_tau_3():
     assert record.simulated_behavior == "periodic"
     assert record.simulated_switches == 14
     assert record.certificate_ok is True
+    # a float delay is recorded as the Fraction it checks, which a report writes
+    record = check_theorem(1.375)
+    assert (type(record.tau), record.tau, record.agree) == (F, F(11, 8), True)
+    assert validate.SweepReport(1, 0, (record,)).to_csv().splitlines()[1].startswith("11/8,")
 
 
 def test_check_theorem_theta_1_and_zeta_2():
@@ -55,7 +59,8 @@ def test_check_theorem_theta_1_and_zeta_2():
 
 def test_bare_check_theorem_answers_past_the_fixed_limits():
     # tau_2600 cycles with 10,402 switchings per period and theta_5100
-    # diverges after 10,205, both past 10,000 switchings
+    # diverges after 10,205, past 10,000 and within the limits a bare call
+    # sizes, 4k + 8: 10,408 and 20,408
     for kind, k, switches in ((CriticalKind.TAU, 2600, 10_402), (CriticalKind.THETA, 5100, 10_205)):
         record = check_theorem(critical_value(kind, k))
         assert (record.agree, record.reason) == (True, ""), kind
