@@ -83,14 +83,15 @@ def _sup_bits(tau: Fraction) -> int:
     tau_k <= a/b  <=>  4^k * (3b - 2a) <= a  <=>  4^k <= a // (3b - 2a), so
     k = (L - 1) // 2; above it, a/b <= sigma_m  <=>  4^m * (4a - 6b) <= a
     <=>  2 * 4^m <= a // (2a - 3b), so m = (L - 2) // 2."""
-    a, b = tau.numerator, tau.denominator
+    a, b = tau.as_integer_ratio()
     return (a // abs(2 * a - 3 * b)).bit_length()
 
 
 def window_k(tau: Rat) -> int | None:
     """The k with tau_k <= tau < tau_{k+1}, or None unless tau = a/b lies in
-    [4/3, 3/2), that is unless 4b <= 3a and 2a < 3b."""
-    a, b = tau.numerator, tau.denominator
+    [4/3, 3/2), that is unless 4b <= 3a and 2a < 3b.  An int or float
+    delay is read exactly, as its integer ratio."""
+    a, b = tau.as_integer_ratio()
     if 4 * b <= 3 * a and 2 * a < 3 * b:
         return (_sup_bits(tau) - 1) // 2
     return None

@@ -20,8 +20,10 @@ The complete Markov state is (slope, position, pending switch offsets):
 exact recurrence of that state across two switch instants certifies
 periodicity, and an empty pending queue while the path moves away from both
 boundaries certifies divergence.  The loop keeps every scheduled switch
-time in one append-only list and indexes the states it has seen by (slope,
-position), comparing pending offsets only when such a pair repeats.  A
+time in one append-only list and branches once per switch on the slope.
+It indexes the switches it has run by the slope and position they leave,
+one dict per slope keyed on the position, and reads a switch's pending
+offsets back from that list only when its position repeats.  A
 fixed-length replay runs the same loop and, past a Periodic outcome, repeats
 that cycle's rows, shifted by whole periods, up to its switch count.
 Simulation starts on the rising branch from x(0) = 0.  As in the paper, the
@@ -32,6 +34,7 @@ the hit at t = 0, so the engine takes no history.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
@@ -117,22 +120,26 @@ def _simulate(tau: Rat, max_switches: int | None) -> Outcome:
     Works in units of 1/q for tau = p/q: the boundaries are 0 and q, the
     delay is p, and time T, position X and the pending switch times are
     ints.  ``due`` lists every switch time scheduled, the pending ones being
-    ``due[head:]``.  Each iteration runs to the next switch.  Up to it the
-    path is a ray of fixed slope, which meets each boundary at most once:
-    the boundaries ahead of it, nearest first, that it meets no later than
-    the next due switch are hits, each appending its switch time T + p to
+    ``due[head:]``.  Each iteration runs to the next switch and branches
+    once on the slope.  Up to it the path is a ray, which meets each
+    boundary at most once: a rising ray meets 0 when X < 0, then q when
+    X < q; a falling ray meets q when X > q, then 0 when X > 0.  Each such
+    meeting, in that order, is a hit unless a due switch comes strictly
+    earlier, which ends the walk; a hit appends its switch time T + p to
     ``due``.  A hit at the switch instant is recorded first, so the
     post-switch state already holds the freshly scheduled switch.  The
     switch advances ``head`` and toggles the slope; ``head`` thus counts
-    iterations and switches alike.  The post-switch state (slope, X, pending
-    offsets) is the complete Markov state, and its first exact recurrence
-    ends the run as Periodic.  ``seen`` maps (slope, X) to the entries
-    (head, T, len(due)) of the states seen there, whose offsets are compared
-    only when the pair repeats.  An empty queue with the ray pointing away
-    from both boundaries ends the run as Divergent; the switch limit, 4n + 8
-    as :func:`run` describes when left None, ends it as Undetermined.  Short
-    of both, a switch lies ahead: one is pending, or the ray meets a boundary
-    that schedules one.
+    iterations and switches alike, and switch i runs at ``due[i - 1]``.
+    The post-switch state (slope, X, pending offsets) is the complete
+    Markov state, and its first exact recurrence ends the run as Periodic.
+    ``left_rising`` and ``left_falling`` map X to the switches i, in order,
+    that left X at that slope.  Switch i's pending offsets are read back
+    when X repeats: the hits at or before t_i = ``due[i - 1]`` scheduled
+    exactly ``due[i : bisect_right(due, t_i + p, i)]``.  An empty queue with
+    the ray pointing away from both boundaries ends the run as Divergent;
+    the switch limit, 4n + 8 as :func:`run` describes when left None, ends
+    it as Undetermined.  Short of both, a switch lies ahead: one is pending,
+    or the ray meets a boundary that schedules one.
     """
     if max_switches is not None and max_switches <= 0:
         raise ValueError("the switch limit must be positive")
@@ -145,36 +152,60 @@ def _simulate(tau: Rat, max_switches: int | None) -> Outcome:
         n = ((p // d).bit_length() - 1) // 2 if d else 0
         max_switches = 4 * n + 8
     t = x = head = 0
-    slope = 1  # +1 exactly while the number of executed switches is even
+    rising = True  # exactly while the number of executed switches is even
     due = [p]  # every switch time scheduled, increasing; pending: due[head:]
     events = [(0, 0, "hit")]
-    seen: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
+    left_rising: dict[int, list[int]] = {}  # X -> the switches i that left X rising
+    left_falling: dict[int, list[int]] = {}
     while True:
-        if head == len(due) and (x < 0 if slope < 0 else x > q):
-            return Divergent(slope, head, SimTrace(tau, tuple(events)))
+        if head == len(due) and (x > q if rising else x < 0):
+            return Divergent(1 if rising else -1, head, SimTrace(tau, tuple(events)))
         if head >= max_switches:
             return Undetermined(head, SimTrace(tau, tuple(events)))
-        for b in (0, q) if slope > 0 else (q, 0):
-            hit = t + slope * (b - x)
-            if hit <= t:  # behind the ray, or met at this instant before the switch
-                continue
-            if head < len(due) and due[head] < hit:
-                break
-            due.append(hit + p)
-            events.append((hit, b, "hit"))
-        x += slope * (due[head] - t)
+        if rising:
+            if x < 0:
+                hit = t - x
+                if head == len(due) or due[head] >= hit:
+                    due.append(hit + p)
+                    events.append((hit, 0, "hit"))
+                    if due[head] >= hit + q:
+                        due.append(hit + q + p)
+                        events.append((hit + q, q, "hit"))
+            elif x < q:
+                hit = t + q - x
+                if head == len(due) or due[head] >= hit:
+                    due.append(hit + p)
+                    events.append((hit, q, "hit"))
+            x += due[head] - t
+            seen = left_falling
+        else:
+            if x > q:
+                hit = t + x - q
+                if head == len(due) or due[head] >= hit:
+                    due.append(hit + p)
+                    events.append((hit, q, "hit"))
+                    if due[head] >= hit + q:
+                        due.append(hit + q + p)
+                        events.append((hit + q, 0, "hit"))
+            elif x > 0:
+                hit = t + x
+                if head == len(due) or due[head] >= hit:
+                    due.append(hit + p)
+                    events.append((hit, 0, "hit"))
+            x -= due[head] - t
+            seen = left_rising
+        rising = not rising
         t = due[head]
         head += 1
-        slope = -slope
         events.append((t, x, "switch"))
-        entries = seen.setdefault((slope, x), [])
+        entries = seen.setdefault(x, [])
         if entries:
             offsets = [d - t for d in due[head:]]
-            for i, t_i, n in entries:  # in order, so the first match is the earliest
-                if [d - t_i for d in due[i:n]] == offsets:
-                    trace = SimTrace(tau, tuple(events))
-                    return Periodic(Fraction(t - t_i, q), head - i, i, trace)
-        entries.append((head, t, len(due)))
+            for i in entries:  # in order, so the first match is the earliest
+                t_i = due[i - 1]
+                if [d - t_i for d in due[i : bisect_right(due, t_i + p, i)]] == offsets:
+                    return Periodic(Fraction(t - t_i, q), head - i, i, SimTrace(tau, tuple(events)))
+        entries.append(head)
 
 
 def run(tau: Rat, max_switches: int | None = None) -> Outcome:

@@ -341,6 +341,12 @@ def test_window_k_fixed_cases():
     assert window_k(critical_value(TAU, 41) - F(1, 10**60)) == 40
 
 
+def test_window_k_reads_an_int_or_float_delay_exactly():
+    # as classify and horizon_J do: a float is its exact binary fraction
+    assert window_k(1.4) == window_k(F(1.4)) == 1
+    assert window_k(2) is None and window_k(1) is None
+
+
 def sigma(m: int) -> F:
     return F(6 * 4**m, 4 ** (m + 1) - 1)
 

@@ -326,7 +326,7 @@ class _LastLine(io.TextIOBase):
         return len(text)
 
 
-def test_verify_and_simulate_answer_past_the_fixed_limits():
+def test_verify_and_simulate_answer_tau_2600_within_the_sized_limit():
     # tau_2600 closes its first cycle at switching 10,403, within the limit
     # the engine sizes when no flag sets one, 4 * 2600 + 8 = 10,408, for
     # every command

@@ -321,7 +321,7 @@ def test_simulate_switches_refuses_non_positive_limits_as_run_does():
             run(F(89, 66), *limits)
 
 
-def test_explicit_limits_keep_their_meaning_past_the_fixed_ones():
+def test_an_explicit_limit_is_kept_as_given():
     # tau_2600 needs 10,403 switchings: the engine sizes a limit left unset,
     # never one the caller gives
     tau = critical_value(CriticalKind.TAU, 2600)

@@ -1,8 +1,9 @@
 """Property tests: the exact engine against the closed forms on random delays,
 its rows against the dynamics, its own switch limit against the old fixed
 one and against every delay, a limit at the deciding switch against one
-short of it, the row period certificate against a plain stepper's replay,
-and the replay's repeated cycle against that stepper.
+short of it, every branch of its loop against a plain stepper, the row
+period certificate against that stepper's replay, and the replay's
+repeated cycle against that stepper.
 
 Delays are random rationals in [4/3, 3/2) with denominators up to 10^12,
 plus the exact critical values, where the behaviour changes, and, for the
@@ -159,6 +160,15 @@ def test_rows_obey_the_dynamics_and_no_mutant_does(tau, max_switches):
     assert longer.denominator != tau.denominator or check_rows(SimTrace(longer, trace.rows))
 
 
+def executed_switches(out) -> int:
+    """The switches the run executed: those up to its deciding one."""
+    if isinstance(out, Periodic):
+        return out.start_switch + out.switchings_per_period
+    if isinstance(out, Divergent):
+        return out.total_switchings
+    return out.switchings_executed
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(window_delays(), critical_delays))
 @example(F(63, 43))
@@ -167,10 +177,7 @@ def test_a_limit_at_the_deciding_switch_decides_the_run(tau):
     # the run is decided at its n-th switch: a limit of n decides it too, and
     # a limit of n - 1 leaves it Undetermined; both keep the stepper's rows
     out = run(tau)
-    if isinstance(out, Divergent):
-        n = out.total_switchings
-    else:
-        n = out.start_switch + out.switchings_per_period
+    n = executed_switches(out)
     for limit, kind in ((n, type(out)), (n - 1, Undetermined)):
         limited = run(tau, limit)
         assert type(limited) is kind
@@ -190,7 +197,7 @@ def window_delays_up_to_k_64(draw) -> F:
 
 @settings(max_examples=100, deadline=None)
 @given(window_delays_up_to_k_64())
-def test_window_runs_up_to_k_64_keep_the_fixed_limits(tau):
+def test_the_sized_limit_decides_window_runs_up_to_k_64(tau):
     # the limit a bare run sizes in window k, 4k + 8, decides each of these
     # runs (every one the benchmark makes) as a limit of 10,000 does
     assert run(tau) == run(tau, 10_000)
@@ -198,6 +205,28 @@ def test_window_runs_up_to_k_64_keep_the_fixed_limits(tau):
 
 def sigma(m: int) -> F:
     return F(6 * 4**m, 4 ** (m + 1) - 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.fractions(F(1, 1000), F(1, 5), max_denominator=10**4).filter(lambda tau: tau > F(1, 1000)),
+        any_delays,
+        st.builds(sigma, st.integers(min_value=0, max_value=30)),
+        st.fractions(F(5), F(10**6), max_denominator=10**4),
+    ),
+    st.sampled_from([1, 2, 3, 7, None]),
+)
+@example(F(7, 5), None)  # a falling ray from above 1 meets 1, then 0 just as a switch falls due
+@example(F(60, 59), None)  # a rising ray from below 0 meets 0, then 1
+def test_every_branch_of_the_loop_writes_the_stepper_rows(tau, limit):
+    # below 1/5 the path turns about 0 alone, each ray meeting 0 with
+    # nothing pending; delays in (1, 2] send rays across both boundaries in
+    # one stretch; of all p/q with q < 60 only sigma_m sends a falling ray
+    # from above 1 with nothing pending; above 5 the path turns twice, its
+    # falling ray stopped short of 1 by the switch due, and then diverges
+    out = run(tau, limit)
+    assert out.trace.rows == step_rows(tau, executed_switches(out))
 
 
 @st.composite

@@ -57,7 +57,7 @@ def test_check_theorem_theta_1_and_zeta_2():
     )
 
 
-def test_bare_check_theorem_answers_past_the_fixed_limits():
+def test_bare_check_theorem_answers_past_10_000_switchings():
     # tau_2600 cycles with 10,402 switchings per period and theta_5100
     # diverges after 10,205, past 10,000 and within the limits a bare call
     # sizes, 4k + 8: 10,408 and 20,408
