@@ -249,7 +249,8 @@ def simulate_switches(tau: Rat, n_switches: int) -> SimTrace:
     block, period = rows[at + 1 :], rows[-1][0] - rows[at][0]
     r, extra = divmod(n_switches - i - m, m)
     cut = switch_rows[i - 1 + extra] - at  # the block's rows up to its extra-th switch
-    cycles = [(u + n * period, y, kind) for n in range(1, r + 1) for u, y, kind in block]
+    shifts = range(period, r * period + 1, period)
+    cycles = [(u + s, y, kind) for s in shifts for u, y, kind in block]
     last = [(u + (r + 1) * period, y, kind) for u, y, kind in block[:cut]]
     return SimTrace(out.trace.tau, (*rows, *cycles, *last))
 

@@ -7,9 +7,10 @@ can be labeled.  Divergent traces get a final ray drawn out to the plot edge
 with an arrow marker.  Output is plain SVG 1.1 text built from line, polyline,
 text and marker elements; coordinates are converted to decimal for layout
 only and formatted with fixed precision, so identical inputs produce
-byte-identical files.  A path's positions are formatted once per level: a
-periodic path of any length visits only the few turning values of its
-period and the levels 0 and 1.
+byte-identical files.  The path is built in one walk over the trace's rows,
+each read as the floats of its event; a row whose floats equal the last
+vertex's adds none.  Positions are formatted once per level: a periodic path
+of any length visits only the few turning values of its period and 0 and 1.
 """
 
 from __future__ import annotations
@@ -35,15 +36,14 @@ def _text(x: float, y: float, body: str, size: int = 12) -> str:
     return f'<text x="{x:.2f}" y="{y:.2f}" font-family="monospace" font-size="{size}">{body}</text>'
 
 
-def _projection(ts: list[float], levels, width: int, height: int):
-    """Affine map from data (t, x) to pixels, fitted to the vertex times
-    ``ts``, in time order, and the positions ``levels`` (any collection of
-    them) plus the guide levels 0 and 1.  Returns ``to_px`` and the ranges
-    and scales it applies, ``(t0, t1, x0, x1, sx, sy)``: a point maps to
+def _projection(t0: float, t1: float, levels, width: int, height: int):
+    """Affine map from data (t, x) to pixels, fitted to the time range
+    ``t0``..``t1`` and the positions ``levels`` (any collection of them)
+    plus the guide levels 0 and 1.  Returns ``to_px`` and the ranges and
+    scales it applies, ``(t0, t1, x0, x1, sx, sy)``: a point maps to
     ``_PAD + (t - t0) * sx, height - _PAD - (x - x0) * sy``.  A scale past
     the float range, as from a huge size over a short span, raises
     ValueError."""
-    t0, t1 = ts[0], ts[-1]
     x0, x1 = min(min(levels), 0.0), max(max(levels), 1.0)
     if t0 == t1:
         t1 = t0 + 1.0
@@ -58,35 +58,55 @@ def _projection(ts: list[float], levels, width: int, height: int):
     return to_px, (t0, t1, x0, x1, sx, sy)
 
 
-def _vertices(outcome: Outcome) -> tuple[list[float], list[float]]:
-    """Polyline vertices of an engine Outcome as columns ``(ts, xs)``: every
-    event point, consecutive duplicates merged, plus the ray endpoint for
-    divergent outcomes.
+def _path(outcome: Outcome, width: int, height: int):
+    """The trajectory's polyline points as SVG text, with the projection
+    they were mapped by, as ``_projection`` returns it.
 
-    Vertices are read off the scaled rows as T/q, X/q; int true division
-    rounds correctly, so they equal the floats of the Fraction events.
+    One walk reads each scaled row (T, X, kind) as the vertex (T/q, X/q);
+    int true division rounds correctly, so these are the floats of the exact
+    events.  The time range comes first from the first and last rows, as
+    times never decrease, and each distinct X is divided by q and its pixel
+    y formatted once.  A row adds no vertex when its time equals the last
+    vertex's and so does its position (a hit and a switch at one instant),
+    the positions compared only when the times tie.  The rule reads floats,
+    so events closer than a float resolves merge too.  A divergent path ends
+    on its ray, a tenth of the time range (at least 1) past the last row.
     """
-    sim = outcome.trace
-    q = sim.tau.denominator
-    ts: list[float] = []
-    xs: list[float] = []
-    last = None
-    for t, x, _ in sim.rows:
-        try:
-            point = (t / q, x / q)
-        except OverflowError:
-            raise ValueError("the trajectory runs past the float range") from None
-        if point != last:  # hit+switch at one instant: one vertex
-            ts.append(point[0])
-            xs.append(point[1])
-            last = point
-    if not ts:
+    rows, q = outcome.trace.rows, outcome.trace.tau.denominator
+    if not rows:
         raise ValueError("empty trace")
+    try:
+        t0, t1 = rows[0][0] / q, rows[-1][0] / q
+        levels = {x: x / q for x in {x for _, x, _ in rows}}
+    except OverflowError:
+        raise ValueError("the trajectory runs past the float range") from None
+    positions = list(levels.values())
+    ray = None
     if isinstance(outcome, Divergent):
-        span = max(1.0, 0.1 * (ts[-1] - ts[0]))
-        ts.append(ts[-1] + span)
-        xs.append(xs[-1] + outcome.direction * span)
-    return ts, xs
+        span = max(1.0, 0.1 * (t1 - t0))
+        t1, ray_x = t1 + span, levels[rows[-1][1]] + outcome.direction * span
+        if not (math.isfinite(t1) and math.isfinite(ray_x)):
+            raise ValueError("the trajectory runs past the float range")
+        ray = t1, ray_x
+        positions.append(ray_x)
+    to_px, scales = _projection(t0, t1, positions, width, height)
+    _, _, x0, _, sx, sy = scales
+    bottom = height - _PAD  # to_px inlined, in its order of operations
+    y_text = {X: "%.2f" % (bottom - (x - x0) * sy) for X, x in levels.items()}
+    coords: list = []
+    add = coords.append
+    last_t = last_x = None
+    for T, X, _ in rows:
+        t = T / q
+        if t == last_t and levels[X] == levels[last_x]:
+            continue  # a hit and a switch at one instant: one vertex
+        last_t, last_x = t, X
+        add(_PAD + (t - t0) * sx)
+        add(y_text[X])
+    if ray:
+        px, py = to_px(*ray)
+        coords += (px, "%.2f" % py)
+    return ("%.2f,%s " * (len(coords) // 2) % tuple(coords))[:-1], to_px, scales
 
 
 def render_trajectory(
@@ -118,10 +138,7 @@ def render_trajectory(
     for j in label_indices:
         if not 1 <= j <= len(turning):
             raise ValueError(f"label index {j} is outside 1..{len(turning)}")
-    ts, xs = _vertices(outcome)
-    levels = set(xs)
-    to_px, (t0, t1, x0, x1, sx, sy) = _projection(ts, levels, width, height)
-    divergent = isinstance(outcome, Divergent)
+    path, to_px, (t0, t1, _, x1, _, _) = _path(outcome, width, height)
     lines: list[str] = []
     lines.append('<?xml version="1.0" encoding="UTF-8"?>')
     lines.append(
@@ -148,16 +165,7 @@ def render_trajectory(
     lines.append(_text(axis_x + 4.0, axis_y + 4.0, "t"))
     top_x, top_y = to_px(t0, x1)
     lines.append(_text(top_x - 16.0, top_y - 6.0, "x"))
-    marker = ' marker-end="url(#ray-arrow)"' if divergent else ""
-    # to_px inlined over the columns, in its order of operations, with each
-    # level's y formatted once.  The dict merges 0.0 and -0.0, which give the
-    # same y; no vertex is NaN, as the rows are ints.
-    bottom = height - _PAD
-    y_text = {x: "%.2f" % (bottom - (x - x0) * sy) for x in levels}
-    coords = [0.0] * (2 * len(ts))
-    coords[0::2] = [_PAD + (t - t0) * sx for t in ts]
-    coords[1::2] = map(y_text.__getitem__, xs)
-    path = ("%.2f,%s " * len(ts) % tuple(coords))[:-1]
+    marker = ' marker-end="url(#ray-arrow)"' if isinstance(outcome, Divergent) else ""
     lines.append(
         f'<polyline class="trajectory" points="{path}" '
         f'fill="none" stroke="#000000" stroke-width="1.5"{marker}/>'

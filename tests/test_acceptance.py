@@ -11,6 +11,7 @@ from functools import lru_cache
 
 from delayswitch import analysis, engine, render, validate
 from delayswitch.analysis import CriticalKind, beta_closed, beta_recurrence, horizon_J
+from pathcheck import vertices
 
 TAU, THETA, ZETA = CriticalKind.TAU, CriticalKind.THETA, CriticalKind.ZETA
 
@@ -213,7 +214,7 @@ def test_criterion_10_render_determinism_and_vertices():
         start = first.index(marker) + len(marker)
         path = first[start : first.index('"', start)]
         vertex_set = set(path.split())
-        ts, xs = render._vertices(outcome)
-        to_px, _ = render._projection(ts, set(xs), 900, 380)
+        ts, xs = vertices(outcome)
+        to_px, _ = render._projection(ts[0], ts[-1], xs, 900, 380)
         for point in outcome.turning_points:
             assert "%.2f,%.2f" % to_px(float(point.beta), float(point.alpha)) in vertex_set

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from delayswitch import analysis, engine
 from delayswitch.engine import SimTrace
-from delayswitch.render import _projection, _vertices, render_trajectory
+from delayswitch.render import _projection, render_trajectory
+from pathcheck import projected_path, vertices
 
 
 def polyline_points(svg: str) -> list[str]:
@@ -25,7 +26,7 @@ def polyline_attribute(svg: str) -> str:
 def test_single_vertex_trace_gets_a_unit_time_range():
     trace = SimTrace(F(1), ((0, 0, "hit"),))
     svg = render_trajectory(engine.Undetermined(0, trace), width=300, height=200)
-    to_px, (t0, t1, *_) = _projection([0.0], {0.0}, 300, 200)
+    to_px, (t0, t1, *_) = _projection(0.0, 0.0, {0.0}, 300, 200)
     assert (t0, t1) == (0.0, 1.0)
     assert polyline_points(svg) == ["%.2f,%.2f" % to_px(0.0, 0.0)]
     # the guide lines span the plot area, t = 0 to t = 1
@@ -36,7 +37,7 @@ def test_single_segment_trace():
     trace = SimTrace(F(1), ((0, 0, "hit"), (1, 1, "hit")))
     svg = render_trajectory(engine.Undetermined(0, trace), width=300, height=200)
     pts = polyline_points(svg)
-    to_px, _ = _projection([0.0, 1.0], {0.0, 1.0}, 300, 200)
+    to_px, _ = _projection(0.0, 1.0, {0.0, 1.0}, 300, 200)
     assert pts == ["%.2f,%.2f" % to_px(0.0, 0.0), "%.2f,%.2f" % to_px(1.0, 1.0)]
 
 
@@ -48,6 +49,15 @@ def test_empty_trace_rejected():
 def test_a_trajectory_past_the_float_range_is_refused():
     with pytest.raises(ValueError, match="past the float range"):
         render_trajectory(engine.run(F(10**400)))
+
+
+def test_a_ray_ending_past_the_float_range_is_refused():
+    # 1.7e308 is a float, but the ray drawn a tenth of the time range past
+    # it is not, and a ray end of inf would be drawn as nan
+    outcome = engine.run(F(17 * 10**307))
+    assert isinstance(outcome, engine.Divergent)
+    with pytest.raises(ValueError, match="the trajectory runs past the float range"):
+        render_trajectory(outcome)
 
 
 def test_a_size_past_the_float_range_is_refused():
@@ -78,23 +88,55 @@ def test_turning_points_are_vertices():
     outcome = engine.run(F(64, 43))
     svg = render_trajectory(outcome)
     pts = set(polyline_points(svg))
-    ts, xs = _vertices(outcome)
-    to_px, _ = _projection(ts, set(xs), 900, 380)
+    ts, xs = vertices(outcome)
+    to_px, _ = _projection(ts[0], ts[-1], xs, 900, 380)
     for point in outcome.turning_points:
         assert "%.2f,%.2f" % to_px(float(point.beta), float(point.alpha)) in pts
 
 
 def test_coinciding_events_collapse_to_one_vertex():
     outcome = engine.run(F(4, 3))
-    vertices = list(zip(*_vertices(outcome)))
-    assert len(vertices) == len(set(vertices))
+    points = polyline_points(render_trajectory(outcome))
+    assert len(points) == len(set(points)) == len(vertices(outcome)[0])
+
+
+def test_rows_equal_as_floats_merge_into_one_vertex():
+    # with tau = 1 a row reads as the floats (T, X); 2**60 + 1 and + 2 round
+    # to 2**60, so three rows unequal as ints are one vertex
+    big = 2**60
+    rows = ((0, 0, "hit"), (big, big, "hit"), (big + 1, big + 1, "switch"), (big + 2, big, "hit"))
+    outcome = engine.Undetermined(0, SimTrace(F(1), rows))
+    path = polyline_attribute(render_trajectory(outcome))
+    assert len(path.split()) == 2
+    assert path == projected_path(outcome, 900, 380)
+
+
+def test_rows_at_one_float_time_apart_in_position_stay_two_vertices():
+    big = 2**60
+    rows = ((0, 0, "hit"), (big, 0, "hit"), (big + 1, 1, "switch"))
+    outcome = engine.Undetermined(0, SimTrace(F(1), rows))
+    path = polyline_attribute(render_trajectory(outcome))
+    assert len(path.split()) == 3
+    assert path == projected_path(outcome, 900, 380)
+
+
+# every critical delay's trace holds a hit and a switch at one instant, which
+# the path draws as one vertex
+@pytest.mark.parametrize("kind", list(analysis.CriticalKind), ids=lambda kind: kind.value)
+@pytest.mark.parametrize("k", range(1, 41))
+def test_coinciding_rows_of_critical_delays_match_the_per_vertex_projection(kind, k):
+    outcome = engine.run(analysis.critical_value(kind, k))
+    rows = outcome.trace.rows
+    assert any(a[0] == b[0] for a, b in zip(rows, rows[1:]))
+    svg = render_trajectory(outcome)
+    assert polyline_attribute(svg) == projected_path(outcome, 900, 380)
 
 
 def test_divergent_ray_and_marker():
     divergent = engine.run(F(63, 43))
     svg = render_trajectory(divergent)
     assert 'marker-end="url(#ray-arrow)"' in svg
-    ts, xs = _vertices(divergent)
+    ts, xs = vertices(divergent)
     assert ts[-1] > ts[-2] and xs[-1] < xs[-2]  # descending tail
     periodic_svg = render_trajectory(engine.run(F(4, 3)))
     assert "marker-end" not in periodic_svg
@@ -163,13 +205,11 @@ def outcomes(draw):
 def test_path_matches_a_per_vertex_projection(outcome, width, height):
     # the path formats each level once; each vertex must read as to_px
     # formats it alone, and the vertex times must come in order, since the
-    # projection reads the time range off the ends of the column
-    ts, xs = _vertices(outcome)
+    # path reads the time range off the first and last rows
+    ts, _ = vertices(outcome)
     assert ts == sorted(ts)
-    to_px, _ = _projection(ts, xs, width, height)
-    expected = " ".join("%.2f,%.2f" % to_px(t, x) for t, x in zip(ts, xs))
     svg = render_trajectory(outcome, width=width, height=height)
-    assert polyline_attribute(svg) == expected
+    assert polyline_attribute(svg) == projected_path(outcome, width, height)
 
 
 # sha256 of renders far longer than the golden files, whose paths hold at
