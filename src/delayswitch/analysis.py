@@ -185,13 +185,15 @@ def horizon_J(tau: Rat) -> int:
     O(1): 3q*(alpha_j - 1) = w + s*p in the terms of closed_points, so even
     j (s = -1, w < 0) never fail below 3/2, and odd j = 2m+1 holds iff
     p > 4^m*(3q - 2p), that is iff tau > tau_m; so with tau_k <= tau <
-    tau_{k+1} J is 2k+1 at tau_k and 2k+3 elsewhere.
+    tau_{k+1} J is 2k+1 at tau_k and 2k+3 elsewhere.  With tau = a/b and
+    P = 4^k, tau = tau_k = 3P/(2P + 1) exactly when a*(2P + 1) = 3P*b.
     """
-    tau = Fraction(tau)
+    a, b = tau.as_integer_ratio()
     k = window_k(tau)
     if k is None:
         raise ValueError("horizon_J requires tau in [4/3, 3/2)")
-    return 2 * k + 1 if tau == critical_value(CriticalKind.TAU, k) else 2 * k + 3
+    P = 1 << 2 * k
+    return 2 * k + 1 if a * (2 * P + 1) == 3 * P * b else 2 * k + 3
 
 
 _OUT_OF_RANGE = Prediction(Regime(RegimeKind.OUT_OF_RANGE), None, None)
@@ -210,25 +212,30 @@ def classify(tau: Rat) -> Prediction:
         zeta_k < tau < tau_{k+1}  periodic,   2k+4
 
     Delays outside [4/3, 3/2) are out of range (no prediction); every delay
-    inside gets an answer, however close to 3/2 it lies.
+    inside gets an answer, however close to 3/2 it lies.  With tau = a/b and
+    P = 4^k each comparison is one of ints, both sides multiplied out by
+    their positive denominators: a*(2P + 1) against 3P*b for tau_k,
+    a*(8P + 1) against 3(4P - 1)*b for theta_k and a*(4P - 1) against
+    3(2P - 1)*b for zeta_k.
     """
-    if tau <= 0:
+    a, b = tau.as_integer_ratio()
+    if a <= 0:
         raise ValueError("tau must be positive")
-    tau = Fraction(tau)
     k = window_k(tau)
     if k is None:
         return _OUT_OF_RANGE
+    P = 1 << 2 * k
     periodic, diverges = Behavior.PERIODIC, Behavior.DIVERGENT_MINUS_INF
-    if tau == critical_value(CriticalKind.TAU, k):
+    if a * (2 * P + 1) == 3 * P * b:
         return Prediction(Regime(RegimeKind.AT_TAU, k), periodic, 4 * k + 2)
-    theta = critical_value(CriticalKind.THETA, k)
-    if tau < theta:
+    lhs, rhs = a * (8 * P + 1), 3 * (4 * P - 1) * b  # tau against theta_k
+    if lhs < rhs:
         return Prediction(Regime(RegimeKind.OPEN_TAU_THETA, k), periodic, 2 * k + 4)
-    if tau == theta:
+    if lhs == rhs:
         return Prediction(Regime(RegimeKind.AT_THETA, k), diverges, 2 * k + 5)
-    zeta = critical_value(CriticalKind.ZETA, k)
-    if tau < zeta:
+    lhs, rhs = a * (4 * P - 1), 3 * (2 * P - 1) * b  # tau against zeta_k
+    if lhs < rhs:
         return Prediction(Regime(RegimeKind.OPEN_THETA_ZETA, k), periodic, 2 * k + 6)
-    if tau == zeta:
+    if lhs == rhs:
         return Prediction(Regime(RegimeKind.AT_ZETA, k), diverges, 4 * k + 5)
     return Prediction(Regime(RegimeKind.OPEN_ZETA_TAU_NEXT, k), periodic, 2 * k + 4)

@@ -21,11 +21,13 @@ exact recurrence of that state across two switch instants certifies
 periodicity, and an empty pending queue while the path moves away from both
 boundaries certifies divergence.  The loop keeps every scheduled switch
 time in one append-only list and branches once per switch on the slope.
-It indexes the switches it has run by the slope and position they leave,
-one dict per slope keyed on the position, and reads a switch's pending
-offsets back from that list only when its position repeats.  A
-fixed-length replay runs the same loop and, past a Periodic outcome, repeats
-that cycle's rows, shifted by whole periods, up to its switch count.
+It indexes the switches it has run by the slope and position they leave:
+per slope, one dict maps a position to the first switch that left it, an
+int, and another lists the later switches that left it.  It reads a
+switch's pending offsets back from the schedule only when its position
+repeats.  A fixed-length replay runs the same loop and, past a Periodic
+outcome, repeats that cycle's rows, shifted by whole periods, up to its
+switch count.
 Simulation starts on the rising branch from x(0) = 0.  As in the paper, the
 history on [-tau, 0] stays clear of {0, 1} before time zero; every such
 history then yields the same solution, because the only inherited event is
@@ -132,21 +134,23 @@ def _simulate(tau: Rat, max_switches: int | None) -> Outcome:
     iterations and switches alike, and switch i runs at ``due[i - 1]``.
     The post-switch state (slope, X, pending offsets) is the complete
     Markov state, and its first exact recurrence ends the run as Periodic.
-    ``left_rising`` and ``left_falling`` map X to the switches i, in order,
-    that left X at that slope.  Switch i's pending offsets are read back
-    when X repeats: the hits at or before t_i = ``due[i - 1]`` scheduled
-    exactly ``due[i : bisect_right(due, t_i + p, i)]``.  An empty queue with
-    the ray pointing away from both boundaries ends the run as Divergent;
-    the switch limit, 4n + 8 as :func:`run` describes when left None, ends
-    it as Undetermined.  Short of both, a switch lies ahead: one is pending,
-    or the ray meets a boundary that schedules one.
+    ``first_rising`` and ``first_falling`` map X to the first switch i that
+    left X at that slope, an int, and ``again_rising`` and ``again_falling``
+    to the later ones, in order; the slopes share no list.  Switch i's
+    pending offsets are read back when X repeats: the hits at or before
+    t_i = ``due[i - 1]`` scheduled exactly
+    ``due[i : bisect_right(due, t_i + p, i)]``.  An empty queue with the ray
+    pointing away from both boundaries ends the run as Divergent; the switch
+    limit, 4n + 8 as :func:`run` describes when left None, ends it as
+    Undetermined.  Short of both, a switch lies ahead: one is pending, or
+    the ray meets a boundary that schedules one.
     """
     if max_switches is not None and max_switches <= 0:
         raise ValueError("the switch limit must be positive")
-    tau = Fraction(tau)
-    if tau <= 0:
-        raise ValueError("tau must be positive")
+    tau = tau if isinstance(tau, Fraction) else Fraction(tau)
     p, q = tau.numerator, tau.denominator
+    if p <= 0:
+        raise ValueError("tau must be positive")
     if max_switches is None:  # 4n + 8, n = floor(log4(p // d)): 0 at 3/2, -1 if p < d
         d = abs(2 * p - 3 * q)
         n = ((p // d).bit_length() - 1) // 2 if d else 0
@@ -155,10 +159,12 @@ def _simulate(tau: Rat, max_switches: int | None) -> Outcome:
     rising = True  # exactly while the number of executed switches is even
     due = [p]  # every switch time scheduled, increasing; pending: due[head:]
     events = [(0, 0, "hit")]
-    left_rising: dict[int, list[int]] = {}  # X -> the switches i that left X rising
-    left_falling: dict[int, list[int]] = {}
+    first_rising: dict[int, int] = {}  # X -> the first switch i that left X rising
+    first_falling: dict[int, int] = {}
+    again_rising: dict[int, list[int]] = {}  # X -> the later switches that left X rising
+    again_falling: dict[int, list[int]] = {}
     while True:
-        if head == len(due) and (x > q if rising else x < 0):
+        if (x > q if rising else x < 0) and head == len(due):
             return Divergent(1 if rising else -1, head, SimTrace(tau, tuple(events)))
         if head >= max_switches:
             return Undetermined(head, SimTrace(tau, tuple(events)))
@@ -177,7 +183,7 @@ def _simulate(tau: Rat, max_switches: int | None) -> Outcome:
                     due.append(hit + p)
                     events.append((hit, q, "hit"))
             x += due[head] - t
-            seen = left_falling
+            first, again = first_falling, again_falling
         else:
             if x > q:
                 hit = t + x - q
@@ -193,19 +199,20 @@ def _simulate(tau: Rat, max_switches: int | None) -> Outcome:
                     due.append(hit + p)
                     events.append((hit, 0, "hit"))
             x -= due[head] - t
-            seen = left_rising
+            first, again = first_rising, again_rising
         rising = not rising
         t = due[head]
         head += 1
         events.append((t, x, "switch"))
-        entries = seen.setdefault(x, [])
-        if entries:
+        i = first.setdefault(x, head)
+        if i != head:
             offsets = [d - t for d in due[head:]]
-            for i in entries:  # in order, so the first match is the earliest
+            entries = again.setdefault(x, [])
+            for i in (i, *entries):  # in order, so the first match is the earliest
                 t_i = due[i - 1]
                 if [d - t_i for d in due[i : bisect_right(due, t_i + p, i)]] == offsets:
                     return Periodic(Fraction(t - t_i, q), head - i, i, SimTrace(tau, tuple(events)))
-        entries.append(head)
+            entries.append(head)
 
 
 def run(tau: Rat, max_switches: int | None = None) -> Outcome:

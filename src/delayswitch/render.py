@@ -41,15 +41,15 @@ def _projection(t0: float, t1: float, levels, width: int, height: int):
     ``t0``..``t1`` and the positions ``levels`` (any collection of them)
     plus the guide levels 0 and 1.  Returns ``to_px`` and the ranges and
     scales it applies, ``(t0, t1, x0, x1, sx, sy)``: a point maps to
-    ``_PAD + (t - t0) * sx, height - _PAD - (x - x0) * sy``.  A scale past
-    the float range, as from a huge size over a short span, raises
-    ValueError."""
+    ``_PAD + (t - t0) * sx, height - _PAD - (x - x0) * sy``.  A scale or a
+    widened instant past the float range, as from a huge size over a short
+    span, raises ValueError."""
     x0, x1 = min(min(levels), 0.0), max(max(levels), 1.0)
-    if t0 == t1:
-        t1 = t0 + 1.0
+    if t0 == t1:  # one instant: widen by 1, or by one float step past 2^53
+        t1 = t0 + max(1.0, math.ulp(t0))
     sx = (width - 2 * _PAD) / (t1 - t0)
     sy = (height - 2 * _PAD) / (x1 - x0)
-    if not (math.isfinite(sx) and math.isfinite(sy)):
+    if not (math.isfinite(t1) and math.isfinite(sx) and math.isfinite(sy)):
         raise ValueError("the plot's scale runs past the float range")
 
     def to_px(t: float, x: float) -> tuple[float, float]:

@@ -80,17 +80,25 @@ def periodicity_certificate(outcome: engine.Periodic) -> bool:
     After switch n at T the state is the slope (-1)**n, X and the offsets
     h + p - T of the pending hits h, T - p < h <= T.  It fixes the rest of the
     path, so equal states at switches least_period apart prove the cycle.
+    Past locating the two switch rows it reads only the rows within p before
+    each: the rows are in time order, so a bisection finds the first of them.
     """
     i, m = outcome.start_switch, outcome.switchings_per_period
-    p, q = outcome.trace.tau.numerator, outcome.trace.tau.denominator
-    points = outcome.trace.switches
-    if i < 1 or m < 1 or len(points) < i + m:
+    rows, tau = outcome.trace.rows, outcome.trace.tau
+    p, q = tau.numerator, tau.denominator
+    at = [n for n, row in enumerate(rows) if row[2] == "switch"]
+    if i < 1 or m < 1 or m % 2 or len(at) < i + m:
         return False
-    hits = [t for t, _, kind in outcome.trace.rows if kind == "hit"]
-    (t_i, x_i), (t_m, x_m) = points[i - 1], points[i + m - 1]
-    pending_i, pending_m = ([h + p - t for h in hits if t - p < h <= t] for t in (t_i, t_m))
-    period_ok = t_m - t_i == outcome.least_period * q
-    return m % 2 == 0 and period_ok and x_i == x_m and pending_i == pending_m
+
+    def state(n: int) -> tuple[int, int, list[int]]:
+        """T, X and the pending offsets after the switch in row n."""
+        t, x, _ = rows[n]
+        past = bisect.bisect_left(rows, (t - p + 1,), 0, n)  # the first row later than T - p
+        return t, x, [h + p - t for h, _, kind in rows[past:n] if kind == "hit" and h <= t]
+
+    (t_i, x_i, pending_i), (t_m, x_m, pending_m) = state(at[i - 1]), state(at[i + m - 1])
+    num, den = outcome.least_period.as_integer_ratio()
+    return (t_m - t_i) * den == num * q and x_i == x_m and pending_i == pending_m
 
 
 def check_theorem(tau: Rat, outcome: engine.Outcome | None = None) -> TheoremCheck:
@@ -102,7 +110,7 @@ def check_theorem(tau: Rat, outcome: engine.Outcome | None = None) -> TheoremChe
     confirmed as well.  An Undetermined simulation, which only a caller's
     tighter limit leaves, is a disagreement with reason "horizon".
     """
-    tau = Fraction(tau)
+    tau = tau if isinstance(tau, Fraction) else Fraction(tau)
     prediction = analysis.classify(tau)
     if prediction.regime.kind is RegimeKind.OUT_OF_RANGE:
         raise ValueError("check_theorem requires tau in [4/3, 3/2)")
@@ -138,25 +146,31 @@ def check_closed_form(tau: Rat, outcome: engine.Outcome | None = None) -> Closed
     exactly, and the first index at which the simulated turning values
     violate the alternating inequalities must be J itself.
     """
-    tau = Fraction(tau)
+    tau = tau if isinstance(tau, Fraction) else Fraction(tau)
     if analysis.window_k(tau) is None:
         raise ValueError("check_closed_form requires tau in [4/3, 3/2)")
     horizon = analysis.horizon_J(tau)
     outcome = engine.run(tau, horizon) if outcome is None else _outcome_of(tau, outcome)
-    q = tau.denominator
-    points = outcome.trace.switches  # (q*beta_j, q*alpha_j)
-    mismatches: list[str] = []
-    if len(points) < horizon:
-        mismatches.append(f"trace has {len(points)} switchings, horizon is {horizon}")
+    q, j, simulated_horizon = tau.denominator, 0, None
     closed = analysis.closed_points(tau)  # (9q*beta_j, 3q*alpha_j)
-    for j, (t, x), (t_closed, x_closed) in zip(range(1, horizon + 1), points, closed):
-        if 9 * t != t_closed:
-            mismatches.append(f"beta_{j}")
-        if 3 * x != x_closed:
-            mismatches.append(f"alpha_{j}")
-    # the first j at which alpha_j > 1 (odd j) or alpha_j < 1 (even j) fails
-    fails = (j for j, (_, x) in enumerate(points, start=1) if (x <= q if j % 2 else x >= q))
-    simulated_horizon = next(fails, None)
+    mismatches: list[str] = []
+    for t, x, kind in outcome.trace.rows:  # switch j at (q*beta_j, q*alpha_j)
+        if kind == "hit":
+            continue
+        j += 1
+        if j <= horizon:
+            t_closed, x_closed = next(closed)
+            if 9 * t != t_closed:
+                mismatches.append(f"beta_{j}")
+            if 3 * x != x_closed:
+                mismatches.append(f"alpha_{j}")
+        # the first j at which alpha_j > 1 (odd j) or alpha_j < 1 (even j) fails
+        if simulated_horizon is None and (x <= q if j % 2 else x >= q):
+            simulated_horizon = j
+        if simulated_horizon is not None and j >= horizon:
+            break
+    if j < horizon:  # every row was read
+        mismatches.insert(0, f"trace has {j} switchings, horizon is {horizon}")
     if simulated_horizon != horizon:
         mismatches.append(f"simulated horizon {simulated_horizon} != {horizon}")
     return ClosedFormCheck(tau, horizon, simulated_horizon, not mismatches, tuple(mismatches))

@@ -24,6 +24,7 @@ from delayswitch.analysis import (
     window_k,
 )
 from delayswitch.exact import rat_parse
+import regimecheck
 
 TAU, THETA, ZETA = CriticalKind.TAU, CriticalKind.THETA, CriticalKind.ZETA
 
@@ -303,6 +304,37 @@ def test_classify_near_limit():
     k = p.regime.k
     assert critical_value(TAU, k) <= near < critical_value(TAU, k + 1)
     assert k > 64
+
+
+@st.composite
+def delays_in_and_around_the_window(draw) -> F:
+    """4/3 + u/(6v) for 0 <= u < v <= 10^30, in [4/3, 3/2); or tau_k, theta_k
+    or zeta_k for k <= 80, as it is or moved by 10^-e either way, e <= 200."""
+    if draw(st.booleans()):
+        v = draw(st.integers(min_value=1, max_value=10**30))
+        return F(4, 3) + F(draw(st.integers(min_value=0, max_value=v - 1)), 6 * v)
+    value = critical_value(draw(st.sampled_from(CriticalKind)), draw(st.integers(1, 80)))
+    sign = draw(st.sampled_from([-1, 0, 1]))
+    return value + sign * F(1, 10 ** draw(st.integers(min_value=1, max_value=200)))
+
+
+@settings(deadline=None)
+@given(delays_in_and_around_the_window())
+@example(F(4, 3))
+@example(F(4, 3) - F(1, 10**60))
+@example(F(3, 2) - F(1, 10**200))
+@example(critical_value(TAU, 80))
+@example(critical_value(THETA, 80))
+@example(critical_value(ZETA, 80))
+@example(critical_value(THETA, 7) - F(1, 10**60))
+@example(critical_value(ZETA, 7) + F(1, 10**60))
+def test_classify_and_horizon_J_match_the_fraction_reference(tau):
+    assert classify(tau) == regimecheck.classify(tau)
+    if regimecheck.window(tau) is None:
+        with pytest.raises(ValueError):
+            horizon_J(tau)
+    else:
+        assert horizon_J(tau) == regimecheck.horizon_J(tau)
 
 
 def test_distance_to_critical():

@@ -1,5 +1,6 @@
 import hashlib
 import re
+import sys
 import xml.etree.ElementTree as ET
 from fractions import Fraction as F
 
@@ -31,6 +32,19 @@ def test_single_vertex_trace_gets_a_unit_time_range():
     assert polyline_points(svg) == ["%.2f,%.2f" % to_px(0.0, 0.0)]
     # the guide lines span the plot area, t = 0 to t = 1
     assert '<line x1="48.00" y1="152.00" x2="252.00" y2="152.00"' in svg
+
+
+def test_single_vertex_trace_past_2_to_the_53_gets_one_float_step():
+    # t0 + 1.0 == t0 once t0 >= 2^53, so a unit widening would divide by zero
+    trace = SimTrace(F(1), ((2**60, 0, "hit"),))
+    svg = render_trajectory(engine.Undetermined(0, trace), width=300, height=200)
+    to_px, (t0, t1, *_) = _projection(2.0**60, 2.0**60, {0.0}, 300, 200)
+    assert (t0, t1) == (2.0**60, 2.0**60 + 256.0)
+    assert polyline_points(svg) == ["%.2f,%.2f" % to_px(2.0**60, 0.0)] == ["48.00,152.00"]
+    # at the largest float, one step further is past the float range
+    at_max = SimTrace(F(1), ((int(sys.float_info.max), 0, "hit"),))
+    with pytest.raises(ValueError, match="past the float range"):
+        render_trajectory(engine.Undetermined(0, at_max))
 
 
 def test_single_segment_trace():

@@ -167,6 +167,19 @@ def test_check_closed_form_names_each_mismatch():
     assert check_closed_form(tau, late).mismatches == ("beta_3",)
 
 
+def test_check_closed_form_compares_up_to_the_horizon_past_an_early_failure():
+    # 147/100: J = 7.  alpha_3 moved from 141/100 to 81/100 fails alpha_3 > 1
+    # at j = 3, and switch 5 one unit late differs only in beta_5, which the
+    # check still compares
+    tau = F(147, 100)
+    honest = engine.run(tau)
+    assert horizon_J(tau) == 7 and honest.trace.switches[2] == (341, 141)
+    trace = _move_switch(_move_switch(honest.trace, 3, dx=-60), 5, dt=1, dx=0)
+    record = check_closed_form(tau, honest._replace(trace=trace))
+    assert record.simulated_horizon == 3
+    assert record.mismatches == ("alpha_3", "beta_5", "simulated horizon 3 != 7")
+
+
 def test_checks_given_an_outcome_do_not_simulate(monkeypatch):
     outcomes = {tau: engine.run(tau) for tau in sweep_taus(6, 3)}
     expected = {tau: (check_theorem(tau), check_closed_form(tau)) for tau in outcomes}
