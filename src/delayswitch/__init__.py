@@ -34,7 +34,6 @@ from .engine import (
     Undetermined,
     behavior_label,
     run,
-    simulate_switches,
 )
 from .exact import Rat, RatParseError, rat_format, rat_parse, rat_to_decimal
 from .render import render_trajectory

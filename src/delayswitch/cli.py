@@ -100,7 +100,6 @@ def _outcome_doc(outcome: engine.Outcome) -> dict:
         doc["turning_points"] = [_turning_doc(p) for p in outcome.trace.turning_points]
     else:
         doc["switchings_executed"] = outcome.switchings_executed
-        doc["stopped_by"] = outcome.stopped_by
     return doc
 
 
@@ -198,10 +197,10 @@ def _cmd_verify(args) -> int:
         f"classifier: {prediction.regime.kind.value} (k={prediction.regime.k}) -> "
         f"{prediction.behavior.value}, {prediction.switch_count} switchings"
     )
-    switches, stop = theorem.simulated_switches, ""
+    switches = theorem.simulated_switches
     if isinstance(outcome, engine.Undetermined):
-        switches, stop = outcome.switchings_executed, f", stopped by {outcome.stopped_by}"
-    print(f"simulation: {theorem.simulated_behavior}, {switches} switchings{stop}")
+        switches = outcome.switchings_executed
+    print(f"simulation: {theorem.simulated_behavior}, {switches} switchings")
     print(f"theorem agreement: {'OK' if theorem.agree else 'FAIL (' + theorem.reason + ')'}")
     if theorem.certificate_ok is not None:
         print(f"period certificate: {'OK' if theorem.certificate_ok else 'FAIL'}")

@@ -108,9 +108,9 @@ class Divergent(NamedTuple):
 
 
 class Undetermined(NamedTuple):
+    # the run reached its switch limit, the only limit a run has
     switchings_executed: int
     trace: SimTrace
-    stopped_by: str = "max_switches"  # the limit that ended the run
 
 
 Outcome = Periodic | Divergent | Undetermined
@@ -238,14 +238,14 @@ def run(tau: Rat, max_switches: int | None = None) -> Outcome:
 def simulate_switches(tau: Rat, n_switches: int) -> SimTrace:
     """Advance through n_switches switchings, past any recurrence.
 
-    A fixed-length replay for long traces, such as many periods drawn or
-    cross-checked at once (``perfbench``'s horizon workload); the package
-    itself never calls it.  It runs the event loop once.  Past a Periodic
-    outcome every row repeats the cycle's rows, those after switch i up to
-    switch i + m, shifted by whole periods, so whole periods are appended
-    and then the next period's rows up to the n_switches-th switch, where
-    stepping would stop.  Stops early only on divergence; callers inspect
-    the trace length.
+    Internal and unexported; the package never calls it.  It stays for
+    ``perfbench``'s horizon workload, which draws and cross-checks
+    20,000-switch replays, until that workload draws a long first cycle of
+    ``run``.  It runs the event loop once.  Past a Periodic outcome every
+    row repeats the cycle's rows, those after switch i up to switch i + m,
+    shifted by whole periods, so whole periods are appended and then the
+    next period's rows up to the n_switches-th switch, where stepping would
+    stop.  Stops early only on divergence; callers inspect the trace length.
     """
     out = _simulate(tau, n_switches)
     if not isinstance(out, Periodic):

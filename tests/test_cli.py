@@ -94,11 +94,15 @@ def test_simulate_undetermined_exit_code(capsys):
     assert json.loads(out)["outcome"] == "undetermined"
 
 
-def test_simulate_undetermined_names_the_limit(capsys):
+def test_simulate_undetermined_json_is_tau_outcome_and_switch_count(capsys):
     code, out, _ = run_cli(capsys, "simulate", "89/66", "--max-switches", "3")
-    assert (code, json.loads(out)["stopped_by"]) == (3, "max_switches")
-    code, out, _ = run_cli(capsys, "simulate", "4/3")
-    assert code == 0 and "stopped_by" not in json.loads(out)
+    assert code == 3
+    assert json.loads(out) == {
+        "tau": "89/66",
+        "tau_decimal": "1.348484848485",
+        "outcome": "undetermined",
+        "switchings_executed": 3,
+    }
 
 
 def test_simulate_trace_file(tmp_path, capsys):
@@ -342,10 +346,10 @@ def test_verify_and_simulate_answer_tau_2600_within_the_sized_limit():
     assert code == 0 and sink.tail.endswith('"alpha_decimal": "0.000000000000"\n    }\n  ]\n}\n')
 
 
-def test_verify_names_the_limit_that_stopped_an_undetermined_run(capsys):
+def test_verify_reports_an_undetermined_run_and_disagrees(capsys):
     code, out, _ = run_cli(capsys, "verify", "4/3", "--max-switches", "3")
     assert code == 1
-    assert "simulation: undetermined, 3 switchings, stopped by max_switches" in out
+    assert "\nsimulation: undetermined, 3 switchings\n" in out
     assert out.endswith("VERDICT: DISAGREE\n")
 
 

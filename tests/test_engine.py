@@ -270,7 +270,8 @@ def test_sized_limit_covers_the_sigma_delays_above_the_window():
     out = run(F(3, 2) + F(3, 4**5002))  # between sigma_5001 and sigma_5000
     assert (type(out), out.direction, out.total_switchings) == (Divergent, 1, 2 * 5000 + 4)
     # an explicit limit keeps its meaning
-    assert run(tau, 10_000).stopped_by == "max_switches"
+    out = run(tau, 10_000)
+    assert (type(out), out.switchings_executed) == (Undetermined, 10_000)
 
 
 def test_engine_does_not_import_the_classifier():
@@ -306,7 +307,6 @@ def test_limits_give_undetermined():
     out = run(F(89, 66), max_switches=3)
     assert isinstance(out, Undetermined)
     assert out.switchings_executed == 3
-    assert out.stopped_by == "max_switches"
     with pytest.raises(ValueError):
         run(F(89, 66), max_switches=0)
     with pytest.raises(ValueError):
@@ -326,18 +326,18 @@ def test_an_explicit_limit_is_kept_as_given():
     # never one the caller gives
     tau = critical_value(CriticalKind.TAU, 2600)
     by_switches = run(tau, max_switches=10_000)
-    assert (by_switches.stopped_by, by_switches.switchings_executed) == ("max_switches", 10_000)
+    assert (type(by_switches), by_switches.switchings_executed) == (Undetermined, 10_000)
     # a float delay runs as the Fraction it equals
     assert run(1.4) == run(F(1.4))
 
 
-def test_stopped_by_names_the_limit_that_fired():
+def test_an_undetermined_run_ends_on_its_limit_th_switch():
     tau = F(89, 66)
     by_switches = run(tau, max_switches=5)
-    assert (by_switches.stopped_by, by_switches.switchings_executed) == ("max_switches", 5)
+    assert (type(by_switches), by_switches.switchings_executed) == (Undetermined, 5)
     assert by_switches.trace.rows[-1][2] == "switch"  # the run ends on its 5th switch
-    # the two-argument constructor still works and defaults to max_switches
-    assert Undetermined(3, by_switches.trace).stopped_by == "max_switches"
+    # an undetermined outcome is its switch count and its trace, nothing more
+    assert Undetermined(5, by_switches.trace) == by_switches
 
 
 # --- runtime invariants ----------------------------------------------------

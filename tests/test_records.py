@@ -27,7 +27,7 @@ RECORDS = [
         {"least_period": F(218, 33), "switchings_per_period": 6, "start_switch": 1, "trace": TRACE},
     ),
     (engine.Divergent, {"direction": -1, "total_switchings": 9, "trace": TRACE}),
-    (engine.Undetermined, {"switchings_executed": 1, "trace": TRACE, "stopped_by": "max_switches"}),
+    (engine.Undetermined, {"switchings_executed": 1, "trace": TRACE}),
     (
         validate.TheoremCheck,
         {
@@ -68,4 +68,3 @@ def test_records_are_immutable_values_with_named_ordered_fields(cls, fields):
 
 def test_record_defaults():
     assert analysis.Regime(RegimeKind.OUT_OF_RANGE).k is None
-    assert engine.Undetermined(1, TRACE).stopped_by == "max_switches"
